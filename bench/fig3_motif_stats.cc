@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "distance/ed.h"
+#include "distance/simd/kernels.h"
 
 using namespace kvmatch;
 
@@ -34,12 +34,14 @@ Motif FindMotif(const TimeSeries& x, size_t m, size_t stride) {
   for (size_t i = 0; i < offsets.size(); ++i) {
     normalized[i] = ZNormalize(x.Subsequence(offsets[i], m));
   }
+  const simd::Kernels& ker = simd::ActiveKernels();
   Motif best;
   for (size_t i = 0; i < offsets.size(); ++i) {
     for (size_t j = i + 1; j < offsets.size(); ++j) {
       if (offsets[j] - offsets[i] < m) continue;  // trivial-match exclusion
-      const double d_sq = SquaredEdEarlyAbandon(normalized[i], normalized[j],
-                                                best.dist * best.dist);
+      const double d_sq =
+          ker.squared_ed(normalized[i].data(), normalized[j].data(), m,
+                         best.dist * best.dist);
       if (d_sq < best.dist * best.dist) {
         best = {offsets[i], offsets[j], std::sqrt(d_sq)};
       }

@@ -21,7 +21,6 @@
 #include "distance/dtw.h"
 #include "distance/ed.h"
 #include "distance/envelope.h"
-#include "distance/lower_bounds.h"
 #include "distance/simd/kernels.h"
 #include "index/index_builder.h"
 #include "storage/block.h"
@@ -49,15 +48,6 @@ void BM_EuclideanDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_EuclideanDistance)->Arg(128)->Arg(1024)->Arg(8192);
 
-void BM_EdEarlyAbandon(benchmark::State& state) {
-  const auto a = RandomSeries(static_cast<size_t>(state.range(0)), 1);
-  const auto b = RandomSeries(static_cast<size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SquaredEdEarlyAbandon(a, b, 10.0));
-  }
-}
-BENCHMARK(BM_EdEarlyAbandon)->Arg(1024)->Arg(8192);
-
 void BM_DtwBanded(benchmark::State& state) {
   const size_t m = 512;
   const auto a = RandomSeries(m, 1);
@@ -76,16 +66,6 @@ void BM_Envelope(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Envelope)->Arg(512)->Arg(8192);
-
-void BM_LbKeogh(benchmark::State& state) {
-  const auto s = RandomSeries(512, 4);
-  const auto q = RandomSeries(512, 5);
-  const Envelope env = BuildEnvelope(q, 25);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LbKeoghSquared(s, env, 1e18, nullptr));
-  }
-}
-BENCHMARK(BM_LbKeogh);
 
 void BM_IntervalIntersect(benchmark::State& state) {
   Rng rng(6);

@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
     const double k = flags.runs;
     table.AddRow({"GMatch", level.paper_label, TablePrinter::Fmt(gm_cand / k),
                   TablePrinter::Fmt(gm_acc / k),
-                  TablePrinter::Fmt(gm_ms / k)});
+                  TablePrinter::Fmt(gm_ms / k, 2)});
     table.AddRow({"KVM-DP", level.paper_label, TablePrinter::Fmt(kv_cand / k),
                   TablePrinter::Fmt(kv_acc / k),
-                  TablePrinter::Fmt(kv_ms / k)});
+                  TablePrinter::Fmt(kv_ms / k, 2)});
   }
   table.Print();
   std::printf(

@@ -66,10 +66,10 @@ int main(int argc, char** argv) {
     const double k = flags.runs;
     table.AddRow({"DMatch", level.paper_label, TablePrinter::Fmt(dm_cand / k),
                   TablePrinter::Fmt(dm_acc / k),
-                  TablePrinter::Fmt(dm_ms / k)});
+                  TablePrinter::Fmt(dm_ms / k, 2)});
     table.AddRow({"KVM-DP", level.paper_label, TablePrinter::Fmt(kv_cand / k),
                   TablePrinter::Fmt(kv_acc / k),
-                  TablePrinter::Fmt(kv_ms / k)});
+                  TablePrinter::Fmt(kv_ms / k, 2)});
   }
   table.Print();
   std::printf(

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
   const double alphas[] = {1.1, 1.5, 2.0};
   const double beta_primes[] = {1.0, 5.0, 10.0};
 
-  TablePrinter table({"Selectivity", "alpha", "KVM b'=1.0 (s)",
-                      "KVM b'=5.0 (s)", "KVM b'=10.0 (s)", "UCR avg (s)",
-                      "FAST avg (s)"});
+  TablePrinter table({"Selectivity", "alpha", "KVM b'=1.0 (ms)",
+                      "KVM b'=5.0 (ms)", "KVM b'=10.0 (ms)", "UCR avg (ms)",
+                      "FAST avg (ms)"});
   Rng rng(flags.seed + 1);
   for (const auto& level : PaperSelectivities(flags.quick)) {
     // Calibrate ε once per selectivity with middle constraints.
@@ -48,19 +48,19 @@ int main(int argc, char** argv) {
 
     // UCR and FAST runtimes are stable across (α, β); the paper reports a
     // per-selectivity average. Use the middle constraint setting.
-    double ucr_s = 0, fast_s = 0;
+    double ucr_ms = 0, fast_ms = 0;
     for (int run = 0; run < flags.runs; ++run) {
       QueryParams params{QueryType::kCnsmEd, eps_batch[run], 1.5,
                          range * 5.0 / 100.0, 0};
       {
         Stopwatch sw;
         ucr.Match(q_batch[run], params);
-        ucr_s += sw.Seconds();
+        ucr_ms += sw.Ms();
       }
       {
         Stopwatch sw;
         fast.Match(q_batch[run], params);
-        fast_s += sw.Seconds();
+        fast_ms += sw.Ms();
       }
     }
 
@@ -68,23 +68,23 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {level.paper_label,
                                       TablePrinter::Fmt(alpha)};
       for (double bp : beta_primes) {
-        double kvm_s = 0;
+        double kvm_ms = 0;
         for (int run = 0; run < flags.runs; ++run) {
           QueryParams params{QueryType::kCnsmEd, eps_batch[run], alpha,
                              range * bp / 100.0, 0};
           Stopwatch sw;
           auto r = kvm.Match(q_batch[run], params);
-          kvm_s += sw.Seconds();
+          kvm_ms += sw.Ms();
           if (!r.ok()) {
             std::fprintf(stderr, "kvm failed: %s\n",
                          r.status().ToString().c_str());
             return 1;
           }
         }
-        row.push_back(TablePrinter::Fmt(kvm_s / flags.runs, 3));
+        row.push_back(TablePrinter::Fmt(kvm_ms / flags.runs, 2));
       }
-      row.push_back(TablePrinter::Fmt(ucr_s / flags.runs, 3));
-      row.push_back(TablePrinter::Fmt(fast_s / flags.runs, 3));
+      row.push_back(TablePrinter::Fmt(ucr_ms / flags.runs, 2));
+      row.push_back(TablePrinter::Fmt(fast_ms / flags.runs, 2));
       table.AddRow(std::move(row));
     }
   }

@@ -35,7 +35,7 @@ std::vector<MatchResult> BruteForceMatch(const TimeSeries& series,
     }
     double d;
     if (IsL1(params.type)) {
-      d = L1DistanceEarlyAbandon(s_cmp, q_cmp);
+      d = L1Distance(s_cmp, q_cmp);
     } else if (dtw) {
       d = DtwDistance(s_cmp, q_cmp, params.rho);
     } else {

@@ -1,5 +1,10 @@
-// Brute-force reference matcher: exact answers for all four query types
+// Brute-force reference matcher: exact answers for all five query types
 // with no pruning. The ground truth every other matcher is tested against.
+//
+// It deliberately uses the plain sequential formulas in distance/ed.h and
+// distance/dtw.h rather than the simd::Kernels table, so that comparing a
+// matcher against it checks the kernels too, not the kernels against
+// themselves.
 #ifndef KVMATCH_BASELINE_BRUTE_FORCE_H_
 #define KVMATCH_BASELINE_BRUTE_FORCE_H_
 

@@ -8,6 +8,7 @@
 #include "distance/ed.h"
 #include "distance/envelope.h"
 #include "distance/lower_bounds.h"
+#include "distance/simd/kernels.h"
 
 namespace kvmatch {
 
@@ -23,6 +24,8 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
   const double eps = params.epsilon;
   const double eps_sq = eps * eps;
 
+  const simd::Kernels& ker = simd::ActiveKernels();
+
   const auto t0 = std::chrono::steady_clock::now();
 
   std::vector<double> q_cmp(q.begin(), q.end());
@@ -30,10 +33,15 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
   const MeanStd q_ms = ComputeMeanStd(q);
   Envelope env;
   std::vector<int> order;
+  std::vector<double> q_ordered;  // q_cmp permuted by order
   if (dtw) {
     env = BuildEnvelope(q_cmp, params.rho);
-  } else {
+  } else if (normalized) {
     order = SortedAbsOrder(q_cmp);
+    q_ordered.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      q_ordered[i] = q_cmp[static_cast<size_t>(order[i])];
+    }
   }
 
   // Extra lower-bound preparation: disjoint-window PAA of the comparison
@@ -63,7 +71,7 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
 
   std::vector<double> s_hat(m);
   std::vector<double> s_means(p);
-  std::vector<double> cb;
+  std::vector<double> cb(m);  // LB_Keogh contributions
   for (size_t off = 0; off + m <= n; ++off) {
     if (stats != nullptr) ++stats->offsets_scanned;
     const auto s = series_.Subsequence(off, m);
@@ -80,12 +88,12 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
         continue;
       }
     }
+    const double inv = std > 1e-12 ? 1.0 / std : 0.0;
 
     // PAA prefilter: window means of the (normalized) candidate vs the
     // query PAA envelope. Sound: LB_PAA <= ED² and <= DTW²; the L1 analog
     // is w·Σ|µ^S_i - µ^Q_i| <= L1.
     if (p > 0) {
-      const double inv = std > 1e-12 ? 1.0 / std : 0.0;
       for (size_t i = 0; i < p; ++i) {
         double mu = prefix_.WindowMean(off + i * paa_w, paa_w);
         if (normalized) mu = (mu - mean) * inv;
@@ -107,7 +115,7 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
     }
 
     if (IsL1(params.type)) {
-      const double d = L1DistanceEarlyAbandon(s, q_cmp, eps);
+      const double d = ker.l1(s.data(), q_cmp.data(), m, eps);
       if (stats != nullptr) ++stats->distance_calls;
       if (d <= eps) results.push_back({off, d});
       continue;
@@ -116,10 +124,11 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
     if (!dtw) {
       double dist_sq;
       if (normalized) {
-        dist_sq =
-            SquaredNormalizedEdOrdered(s, mean, std, q_cmp, order, eps_sq);
+        dist_sq = ker.squared_ed_znorm_ordered(s.data(), order.data(),
+                                               q_ordered.data(), m, mean, inv,
+                                               eps_sq);
       } else {
-        dist_sq = SquaredEdEarlyAbandon(s, q_cmp, eps_sq);
+        dist_sq = ker.squared_ed(s.data(), q_cmp.data(), m, eps_sq);
       }
       if (stats != nullptr) ++stats->distance_calls;
       if (dist_sq <= eps_sq) results.push_back({off, std::sqrt(dist_sq)});
@@ -128,22 +137,24 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
 
     std::span<const double> s_cmp = s;
     if (normalized) {
-      const double inv = std > 1e-12 ? 1.0 / std : 0.0;
-      for (size_t i = 0; i < m; ++i) s_hat[i] = (s[i] - mean) * inv;
+      ker.znormalize(s.data(), m, mean, inv, s_hat.data());
       s_cmp = s_hat;
     }
     if (LbKimSquared(s_cmp, q_cmp, eps_sq) > eps_sq) {
       if (stats != nullptr) ++stats->lb_kim_pruned;
       continue;
     }
-    if (LbKeoghSquared(s_cmp, env, eps_sq, &cb) > eps_sq) {
+    if (ker.lb_keogh(s_cmp.data(), env.lower.data(), env.upper.data(), m,
+                     eps_sq, cb.data()) > eps_sq) {
       if (stats != nullptr) ++stats->lb_keogh_pruned;
       continue;
     }
     // Second Keogh pass: query against the candidate's own envelope.
     {
       const Envelope cand_env = BuildEnvelope(s_cmp, params.rho);
-      if (LbKeoghSquared(q_cmp, cand_env, eps_sq, nullptr) > eps_sq) {
+      if (ker.lb_keogh(q_cmp.data(), cand_env.lower.data(),
+                       cand_env.upper.data(), m, eps_sq,
+                       nullptr) > eps_sq) {
         if (stats != nullptr) ++stats->lb_keogh_ec_pruned;
         continue;
       }

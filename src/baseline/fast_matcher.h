@@ -8,6 +8,10 @@
 //  * for DTW, the LB_Kim + LB_Keogh cascade of UCR with an extra
 //    data-side envelope bound (LB_Keogh EC: query against the candidate's
 //    envelope), the classic "second Keogh pass".
+//
+// FAST keeps its own scan loop for those extra bounds, but its ED,
+// reordered ED, L1 and both LB_Keogh passes run on the dispatched
+// simd::Kernels table, the same kernels KV-match and UCR Suite use.
 #ifndef KVMATCH_BASELINE_FAST_MATCHER_H_
 #define KVMATCH_BASELINE_FAST_MATCHER_H_
 

@@ -1,99 +1,20 @@
 #include "baseline/ucr_suite.h"
 
-#include <cmath>
-#include <limits>
-
-#include "distance/dtw.h"
-#include "distance/ed.h"
-#include "distance/envelope.h"
-#include "distance/lower_bounds.h"
+#include "index/interval.h"
+#include "match/verifier.h"
 
 namespace kvmatch {
 
 std::vector<MatchResult> UcrSuite::Match(std::span<const double> q,
                                          const QueryParams& params,
-                                         UcrStats* stats) const {
-  std::vector<MatchResult> results;
+                                         MatchStats* stats) const {
   const size_t m = q.size();
   const size_t n = series_.size();
-  if (m == 0 || n < m) return results;
-  const bool normalized = IsNormalized(params.type);
-  const bool dtw = IsDtw(params.type);
-  const double eps = params.epsilon;
-  const double eps_sq = eps * eps;
-
-  // Query-side preparation.
-  std::vector<double> q_cmp(q.begin(), q.end());
-  if (normalized) q_cmp = ZNormalize(q);
-  const MeanStd q_ms = ComputeMeanStd(q);
-  Envelope env;
-  std::vector<int> order;
-  if (dtw) {
-    env = BuildEnvelope(q_cmp, params.rho);
-  } else {
-    order = SortedAbsOrder(q_cmp);
-  }
-
-  std::vector<double> s_hat(m);
-  std::vector<double> cb;
-  for (size_t off = 0; off + m <= n; ++off) {
-    if (stats != nullptr) ++stats->offsets_scanned;
-    const auto s = series_.Subsequence(off, m);
-    double mean = 0.0, std = 0.0;
-    if (normalized) {
-      const MeanStd ms = prefix_.WindowMeanStd(off, m);
-      mean = ms.mean;
-      std = ms.std;
-      const bool sigma_ok = std >= q_ms.std / params.alpha - 1e-12 &&
-                            std <= q_ms.std * params.alpha + 1e-12;
-      const bool mu_ok = std::fabs(mean - q_ms.mean) <= params.beta + 1e-12;
-      if (!sigma_ok || !mu_ok) {
-        if (stats != nullptr) ++stats->constraint_pruned;
-        continue;
-      }
-    }
-
-    if (IsL1(params.type)) {
-      const double d = L1DistanceEarlyAbandon(s, q_cmp, eps);
-      if (stats != nullptr) ++stats->distance_calls;
-      if (d <= eps) results.push_back({off, d});
-      continue;
-    }
-
-    if (!dtw) {
-      double dist_sq;
-      if (normalized) {
-        dist_sq =
-            SquaredNormalizedEdOrdered(s, mean, std, q_cmp, order, eps_sq);
-      } else {
-        dist_sq = SquaredEdEarlyAbandon(s, q_cmp, eps_sq);
-      }
-      if (stats != nullptr) ++stats->distance_calls;
-      if (dist_sq <= eps_sq) results.push_back({off, std::sqrt(dist_sq)});
-      continue;
-    }
-
-    // DTW path.
-    std::span<const double> s_cmp = s;
-    if (normalized) {
-      const double inv = std > 1e-12 ? 1.0 / std : 0.0;
-      for (size_t i = 0; i < m; ++i) s_hat[i] = (s[i] - mean) * inv;
-      s_cmp = s_hat;
-    }
-    if (LbKimSquared(s_cmp, q_cmp, eps_sq) > eps_sq) {
-      if (stats != nullptr) ++stats->lb_kim_pruned;
-      continue;
-    }
-    if (LbKeoghSquared(s_cmp, env, eps_sq, &cb) > eps_sq) {
-      if (stats != nullptr) ++stats->lb_keogh_pruned;
-      continue;
-    }
-    const std::vector<double> cum = SuffixCumulate(cb);
-    const double d = DtwDistance(s_cmp, q_cmp, params.rho, eps, cum);
-    if (stats != nullptr) ++stats->distance_calls;
-    if (d <= eps) results.push_back({off, d});
-  }
-  return results;
+  if (m == 0 || n < m) return {};
+  IntervalList all;
+  all.AppendInterval({0, static_cast<int64_t>(n - m)});
+  if (stats != nullptr) stats->candidate_positions += n - m + 1;
+  return Verifier(series_, prefix_).Verify(q, params, all, stats);
 }
 
 }  // namespace kvmatch

@@ -16,40 +16,9 @@ double EuclideanDistance(std::span<const double> a,
   return std::sqrt(sum);
 }
 
-double SquaredEdEarlyAbandon(std::span<const double> a,
-                             std::span<const double> b, double threshold_sq) {
+double L1Distance(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-    if (sum > threshold_sq) return std::numeric_limits<double>::infinity();
-  }
-  return sum;
-}
-
-double SquaredNormalizedEdOrdered(std::span<const double> s, double mean,
-                                  double std,
-                                  std::span<const double> normalized_q,
-                                  std::span<const int> order,
-                                  double threshold_sq) {
-  const double inv = std > 1e-12 ? 1.0 / std : 0.0;
-  double sum = 0.0;
-  for (int idx : order) {
-    const double x = (s[static_cast<size_t>(idx)] - mean) * inv;
-    const double d = x - normalized_q[static_cast<size_t>(idx)];
-    sum += d * d;
-    if (sum > threshold_sq) return std::numeric_limits<double>::infinity();
-  }
-  return sum;
-}
-
-double L1DistanceEarlyAbandon(std::span<const double> a,
-                              std::span<const double> b, double threshold) {
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    sum += std::fabs(a[i] - b[i]);
-    if (sum > threshold) return std::numeric_limits<double>::infinity();
-  }
+  for (size_t i = 0; i < a.size(); ++i) sum += std::fabs(a[i] - b[i]);
   return sum;
 }
 

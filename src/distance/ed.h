@@ -1,8 +1,12 @@
-// Euclidean distance with early abandoning (paper §II; UCR Suite §VIII).
+// Plain reference distances (paper §II) and the UCR Suite visit order.
+//
+// These are the straightforward sequential formulas that BruteForceMatch
+// and the tests use as an independent reference. Every hot path (the
+// verifier, UCR Suite, FAST) runs the early-abandoning kernels in
+// distance/simd/kernels.h instead.
 #ifndef KVMATCH_DISTANCE_ED_H_
 #define KVMATCH_DISTANCE_ED_H_
 
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -11,31 +15,13 @@ namespace kvmatch {
 /// Plain Euclidean distance between equal-length sequences.
 double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 
-/// Squared ED with early abandoning: returns +inf as soon as the running
-/// squared sum exceeds `threshold_sq`.
-double SquaredEdEarlyAbandon(
-    std::span<const double> a, std::span<const double> b,
-    double threshold_sq = std::numeric_limits<double>::infinity());
-
-/// Squared ED between the z-normalization of `s` (given its mean/std) and a
-/// pre-normalized query, visiting points in `order` (largest |q̂| first) and
-/// abandoning once `threshold_sq` is exceeded. This is the UCR Suite
-/// "reordered early abandoning" kernel.
-double SquaredNormalizedEdOrdered(std::span<const double> s, double mean,
-                                  double std,
-                                  std::span<const double> normalized_q,
-                                  std::span<const int> order,
-                                  double threshold_sq);
+/// Plain Manhattan (L1) distance between equal-length sequences; the
+/// RSM-L1 query type's measure.
+double L1Distance(std::span<const double> a, std::span<const double> b);
 
 /// Index order of a query sorted by decreasing |q̂_i| — the UCR Suite
 /// heuristic that abandons fastest.
 std::vector<int> SortedAbsOrder(std::span<const double> normalized_q);
-
-/// Manhattan (L1) distance with early abandoning: returns +inf as soon as
-/// the running sum exceeds `threshold`. Supports the RSM-L1 query type.
-double L1DistanceEarlyAbandon(
-    std::span<const double> a, std::span<const double> b,
-    double threshold = std::numeric_limits<double>::infinity());
 
 }  // namespace kvmatch
 

@@ -27,51 +27,6 @@ double LbKimSquared(std::span<const double> s, std::span<const double> q,
   return lb;
 }
 
-double LbKeoghSquared(std::span<const double> s, const Envelope& env,
-                      double threshold_sq, std::vector<double>* cb) {
-  const size_t m = s.size();
-  if (cb != nullptr) cb->assign(m, 0.0);
-  double lb = 0.0;
-  for (size_t i = 0; i < m; ++i) {
-    double d = 0.0;
-    if (s[i] > env.upper[i]) {
-      d = Sq(s[i] - env.upper[i]);
-    } else if (s[i] < env.lower[i]) {
-      d = Sq(s[i] - env.lower[i]);
-    }
-    lb += d;
-    if (cb != nullptr) (*cb)[i] = d;
-    if (lb > threshold_sq && cb == nullptr) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  return lb;
-}
-
-double LbKeoghNormalizedSquared(std::span<const double> s, double mean,
-                                double std, const Envelope& env,
-                                double threshold_sq, std::vector<double>* cb) {
-  const size_t m = s.size();
-  if (cb != nullptr) cb->assign(m, 0.0);
-  const double inv = std > 1e-12 ? 1.0 / std : 0.0;
-  double lb = 0.0;
-  for (size_t i = 0; i < m; ++i) {
-    const double x = (s[i] - mean) * inv;
-    double d = 0.0;
-    if (x > env.upper[i]) {
-      d = Sq(x - env.upper[i]);
-    } else if (x < env.lower[i]) {
-      d = Sq(x - env.lower[i]);
-    }
-    lb += d;
-    if (cb != nullptr) (*cb)[i] = d;
-    if (lb > threshold_sq && cb == nullptr) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  return lb;
-}
-
 std::vector<double> SuffixCumulate(const std::vector<double>& cb) {
   std::vector<double> out(cb.size() + 1, 0.0);
   for (size_t i = cb.size(); i > 0; --i) {

@@ -1,5 +1,6 @@
-// DTW lower bounds (LB_Kim, LB_Keogh, LB_PAA) used by the verifier and the
-// UCR Suite / FAST baselines.
+// DTW lower bounds that have no SIMD kernel (LB_Kim, LB_PAA), used by the
+// verifier and the FAST baseline. LB_Keogh lives in the kernel table
+// (distance/simd/kernels.h).
 //
 // All bounds return *squared* values so callers compare against ε² without
 // square roots in the hot path. Every bound B satisfies B ≤ DTW²_ρ.
@@ -10,8 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "distance/envelope.h"
-
 namespace kvmatch {
 
 /// Simplified LB_Kim (UCR Suite's LB_KimFL): distances of the first and
@@ -20,25 +19,8 @@ double LbKimSquared(std::span<const double> s, std::span<const double> q,
                     double threshold_sq
                     = std::numeric_limits<double>::infinity());
 
-/// LB_Keogh of candidate `s` against the query envelope, with early
-/// abandoning at `threshold_sq`. If `cb` is non-null it receives the
-/// per-position contributions (cb[i]), which DtwDistance uses for tighter
-/// abandoning after suffix-accumulation.
-double LbKeoghSquared(std::span<const double> s, const Envelope& env,
-                      double threshold_sq
-                      = std::numeric_limits<double>::infinity(),
-                      std::vector<double>* cb = nullptr);
-
-/// LB_Keogh of a *normalized-on-the-fly* candidate: s is raw, and each point
-/// is normalized with (mean, std) before comparison against a normalized
-/// query's envelope.
-double LbKeoghNormalizedSquared(std::span<const double> s, double mean,
-                                double std, const Envelope& env,
-                                double threshold_sq
-                                = std::numeric_limits<double>::infinity(),
-                                std::vector<double>* cb = nullptr);
-
-/// Converts per-position contributions cb into the suffix-cumulative array
+/// Converts per-position LB_Keogh contributions cb (the `cb` output of the
+/// simd::Kernels lb_keogh kernel) into the suffix-cumulative array
 /// used by DtwDistance: out[i] = sum_{k >= i} cb[k], out[m] = 0.
 std::vector<double> SuffixCumulate(const std::vector<double>& cb);
 

@@ -14,6 +14,8 @@
 #include "baseline/ucr_suite.h"
 #include "common/rng.h"
 #include "distance/ed.h"
+#include "index/index_builder.h"
+#include "match/kv_match.h"
 #include "ts/generator.h"
 
 namespace kvmatch {
@@ -26,6 +28,14 @@ struct ScanCase {
   double beta;
   size_t rho;
   const char* name;
+};
+
+const ScanCase kAllTypes[] = {
+    {QueryType::kRsmEd, 5.0, 1.0, 0.0, 0, "rsm_ed"},
+    {QueryType::kRsmDtw, 4.0, 1.0, 0.0, 6, "rsm_dtw"},
+    {QueryType::kCnsmEd, 4.0, 1.5, 3.0, 0, "cnsm_ed"},
+    {QueryType::kCnsmDtw, 4.0, 1.5, 3.0, 6, "cnsm_dtw"},
+    {QueryType::kRsmL1, 40.0, 1.0, 0.0, 0, "rsm_l1"},
 };
 
 class UcrAgainstBruteForce : public ::testing::TestWithParam<ScanCase> {};
@@ -44,25 +54,74 @@ TEST_P(UcrAgainstBruteForce, ExactAgreement) {
         128, 0.2, &rng);
     QueryParams params{sc.type, sc.epsilon, sc.alpha, sc.beta, sc.rho};
     const auto expected = BruteForceMatch(x, q, params);
-    UcrStats stats;
+    MatchStats stats;
     const auto got = ucr.Match(q, params, &stats);
     ASSERT_EQ(got.size(), expected.size()) << sc.name;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].offset, expected[i].offset) << sc.name;
       EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-6) << sc.name;
     }
-    EXPECT_EQ(stats.offsets_scanned, x.size() - 128 + 1);
+    // Every offset is a candidate, and each one ends in exactly one of:
+    // a cNSM constraint prune, a lower-bound prune, or a distance call.
+    const uint64_t offsets = x.size() - 128 + 1;
+    EXPECT_EQ(stats.candidate_positions, offsets);
+    EXPECT_EQ(stats.constraint_pruned + stats.lb_pruned + stats.distance_calls,
+              offsets);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, UcrAgainstBruteForce,
-    ::testing::Values(
-        ScanCase{QueryType::kRsmEd, 5.0, 1.0, 0.0, 0, "rsm_ed"},
-        ScanCase{QueryType::kRsmDtw, 4.0, 1.0, 0.0, 6, "rsm_dtw"},
-        ScanCase{QueryType::kCnsmEd, 4.0, 1.5, 3.0, 0, "cnsm_ed"},
-        ScanCase{QueryType::kCnsmDtw, 4.0, 1.5, 3.0, 6, "cnsm_dtw"},
-        ScanCase{QueryType::kRsmL1, 40.0, 1.0, 0.0, 0, "rsm_l1"}),
+    ::testing::ValuesIn(kAllTypes),
+    [](const auto& info) { return info.param.name; });
+
+// UCR Suite is the verifier over every offset, and KV-match's phase 2 is
+// the same verifier over its candidate set. On the same series and
+// PrefixStats both must return the same offsets with the same distance
+// doubles, bit for bit — also at ε equal to a returned distance, where the
+// accept test d ≤ ε is decided by the last bits of the sum.
+class UcrMatchesServedPath : public ::testing::TestWithParam<ScanCase> {};
+
+void ExpectBitIdentical(const std::vector<MatchResult>& ucr,
+                        const std::vector<MatchResult>& served,
+                        const char* name) {
+  ASSERT_EQ(ucr.size(), served.size()) << name;
+  for (size_t i = 0; i < ucr.size(); ++i) {
+    EXPECT_EQ(ucr[i].offset, served[i].offset) << name << " i=" << i;
+    EXPECT_EQ(ucr[i].distance, served[i].distance) << name << " i=" << i;
+  }
+}
+
+TEST_P(UcrMatchesServedPath, BitIdenticalToKvMatcher) {
+  const ScanCase sc = GetParam();
+  Rng rng(81);
+  const TimeSeries x = GenerateSynthetic(4000, &rng);
+  const PrefixStats ps(x);
+  const KvIndex index = BuildKvIndex(x, {.window = 32});
+  const KvMatcher matcher(x, ps, index);
+  const UcrSuite ucr(x, ps);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto q = ExtractQuery(
+        x,
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(
+                                                  x.size() - 128))),
+        128, 0.2, &rng);
+    QueryParams params{sc.type, sc.epsilon, sc.alpha, sc.beta, sc.rho};
+    auto served = matcher.Match(q, params);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_FALSE(served->empty()) << sc.name;
+    ExpectBitIdentical(ucr.Match(q, params), *served, sc.name);
+
+    params.epsilon = (*served)[served->size() / 2].distance;
+    served = matcher.Match(q, params);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectBitIdentical(ucr.Match(q, params), *served, sc.name);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, UcrMatchesServedPath,
+    ::testing::ValuesIn(kAllTypes),
     [](const auto& info) { return info.param.name; });
 
 class FastAgainstBruteForce : public ::testing::TestWithParam<ScanCase> {};
@@ -86,12 +145,7 @@ TEST_P(FastAgainstBruteForce, ExactAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, FastAgainstBruteForce,
-    ::testing::Values(
-        ScanCase{QueryType::kRsmEd, 5.0, 1.0, 0.0, 0, "rsm_ed"},
-        ScanCase{QueryType::kRsmDtw, 4.0, 1.0, 0.0, 6, "rsm_dtw"},
-        ScanCase{QueryType::kCnsmEd, 4.0, 1.5, 3.0, 0, "cnsm_ed"},
-        ScanCase{QueryType::kCnsmDtw, 4.0, 1.5, 3.0, 6, "cnsm_dtw"},
-        ScanCase{QueryType::kRsmL1, 40.0, 1.0, 0.0, 0, "rsm_l1"}),
+    ::testing::ValuesIn(kAllTypes),
     [](const auto& info) { return info.param.name; });
 
 // ---- R-tree ----

@@ -1,8 +1,16 @@
 // Unit + property tests for distance/: ED, DTW, envelopes, lower bounds.
+//
+// The early-abandoning ED, reordered normalized ED, L1 and LB_Keogh cases
+// run every available simd::Kernels tier (scalar always, AVX2 when the
+// machine has it) against independent formulas: EuclideanDistance,
+// L1Distance, explicit ZNormalize and an explicit envelope clamp. The
+// parity suite only compares tiers with each other; these tests check
+// that the shared kernels compute the right values.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,6 +18,7 @@
 #include "distance/ed.h"
 #include "distance/envelope.h"
 #include "distance/lower_bounds.h"
+#include "distance/simd/kernels.h"
 #include "ts/time_series.h"
 
 namespace kvmatch {
@@ -24,6 +33,39 @@ std::vector<double> RandomSeries(size_t n, Rng* rng, double lo = -5,
   return v;
 }
 
+/// The scalar tier plus the AVX2 tier when this machine can run it.
+std::vector<const simd::Kernels*> KernelTiers() {
+  std::vector<const simd::Kernels*> tiers = {&simd::ScalarKernels()};
+  if (const simd::Kernels* avx2 = simd::Avx2KernelsOrNull()) {
+    tiers.push_back(avx2);
+  }
+  return tiers;
+}
+
+/// LB_Keogh straight from the definition: squared distance of each point
+/// to the envelope band, summed in order.
+double ExplicitKeogh(const std::vector<double>& s, const Envelope& env) {
+  double lb = 0.0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] > env.upper[i]) {
+      lb += (s[i] - env.upper[i]) * (s[i] - env.upper[i]);
+    } else if (s[i] < env.lower[i]) {
+      lb += (env.lower[i] - s[i]) * (env.lower[i] - s[i]);
+    }
+  }
+  return lb;
+}
+
+std::string TierAndLength(const simd::Kernels& ker, size_t n) {
+  return std::string(simd::TierName(ker.tier)) + " n=" + std::to_string(n);
+}
+
+double KernelKeogh(const simd::Kernels& ker, const std::vector<double>& s,
+                   const Envelope& env, double* cb = nullptr) {
+  return ker.lb_keogh(s.data(), env.lower.data(), env.upper.data(), s.size(),
+                      kInf, cb);
+}
+
 TEST(EdTest, KnownValue) {
   const std::vector<double> a = {0, 0, 0};
   const std::vector<double> b = {1, 2, 2};
@@ -36,21 +78,37 @@ TEST(EdTest, ZeroForIdentical) {
   EXPECT_EQ(EuclideanDistance(a, a), 0.0);
 }
 
+// Lengths below one 8-lane group, with a ragged tail, and past the
+// 64-element abandon checkpoint.
+const size_t kKernelLengths[] = {5, 64, 131};
+
 TEST(EdTest, EarlyAbandonMatchesExactWhenUnderThreshold) {
   Rng rng(2);
-  const auto a = RandomSeries(64, &rng);
-  const auto b = RandomSeries(64, &rng);
-  const double exact = EuclideanDistance(a, b);
-  const double sq = SquaredEdEarlyAbandon(a, b, exact * exact + 1.0);
-  EXPECT_NEAR(std::sqrt(sq), exact, 1e-9);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    for (size_t n : kKernelLengths) {
+      SCOPED_TRACE(TierAndLength(*ker, n));
+      const auto a = RandomSeries(n, &rng);
+      const auto b = RandomSeries(n, &rng);
+      const double exact = EuclideanDistance(a, b);
+      const double sq =
+          ker->squared_ed(a.data(), b.data(), n, exact * exact + 1.0);
+      EXPECT_NEAR(std::sqrt(sq), exact, 1e-9);
+    }
+  }
 }
 
 TEST(EdTest, EarlyAbandonReturnsInfWhenOverThreshold) {
   Rng rng(3);
-  const auto a = RandomSeries(64, &rng);
-  const auto b = RandomSeries(64, &rng);
-  const double exact_sq = SquaredEdEarlyAbandon(a, b, kInf);
-  EXPECT_EQ(SquaredEdEarlyAbandon(a, b, exact_sq * 0.5), kInf);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    for (size_t n : kKernelLengths) {
+      SCOPED_TRACE(TierAndLength(*ker, n));
+      const auto a = RandomSeries(n, &rng);
+      const auto b = RandomSeries(n, &rng);
+      const double exact = EuclideanDistance(a, b);
+      EXPECT_EQ(ker->squared_ed(a.data(), b.data(), n, exact * exact * 0.5),
+                kInf);
+    }
+  }
 }
 
 TEST(EdTest, SortedAbsOrderIsDecreasing) {
@@ -65,24 +123,55 @@ TEST(EdTest, SortedAbsOrderIsDecreasing) {
 
 TEST(EdTest, ReorderedNormalizedEdMatchesNaive) {
   Rng rng(4);
-  const auto s = RandomSeries(128, &rng);
-  auto q = RandomSeries(128, &rng);
-  q = ZNormalize(q);
-  const MeanStd ms = ComputeMeanStd(s);
-  const auto s_hat = ZNormalize(s);
-  const double naive = EuclideanDistance(s_hat, q);
-  const auto order = SortedAbsOrder(q);
-  const double sq =
-      SquaredNormalizedEdOrdered(s, ms.mean, ms.std, q, order, kInf);
-  EXPECT_NEAR(std::sqrt(sq), naive, 1e-9);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    for (size_t n : kKernelLengths) {
+      SCOPED_TRACE(TierAndLength(*ker, n));
+      const auto s = RandomSeries(n, &rng);
+      const auto q = ZNormalize(RandomSeries(n, &rng));
+      const double naive = EuclideanDistance(ZNormalize(s), q);
+      const auto order = SortedAbsOrder(q);
+      std::vector<double> q_ordered(n);
+      for (size_t i = 0; i < n; ++i) {
+        q_ordered[i] = q[static_cast<size_t>(order[i])];
+      }
+      const MeanStd ms = ComputeMeanStd(s);
+      const double sq = ker->squared_ed_znorm_ordered(
+          s.data(), order.data(), q_ordered.data(), n, ms.mean,
+          1.0 / ms.std, kInf);
+      EXPECT_NEAR(std::sqrt(sq), naive, 1e-9);
+      EXPECT_EQ(ker->squared_ed_znorm_ordered(s.data(), order.data(),
+                                              q_ordered.data(), n, ms.mean,
+                                              1.0 / ms.std,
+                                              naive * naive * 0.5),
+                kInf);
+    }
+  }
 }
 
 TEST(EdTest, L1KnownValueAndEarlyAbandon) {
   const std::vector<double> a = {0, 0, 0, 0};
   const std::vector<double> b = {1, -2, 3, -4};
-  EXPECT_DOUBLE_EQ(L1DistanceEarlyAbandon(a, b), 10.0);
-  EXPECT_EQ(L1DistanceEarlyAbandon(a, b, 9.0), kInf);
-  EXPECT_DOUBLE_EQ(L1DistanceEarlyAbandon(a, b, 10.0), 10.0);
+  EXPECT_DOUBLE_EQ(L1Distance(a, b), 10.0);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    SCOPED_TRACE(simd::TierName(ker->tier));
+    EXPECT_DOUBLE_EQ(ker->l1(a.data(), b.data(), 4, kInf), 10.0);
+    EXPECT_EQ(ker->l1(a.data(), b.data(), 4, 9.0), kInf);
+    EXPECT_DOUBLE_EQ(ker->l1(a.data(), b.data(), 4, 10.0), 10.0);
+  }
+}
+
+TEST(EdTest, L1KernelMatchesPlainL1) {
+  Rng rng(20);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    for (size_t n : kKernelLengths) {
+      SCOPED_TRACE(TierAndLength(*ker, n));
+      const auto a = RandomSeries(n, &rng);
+      const auto b = RandomSeries(n, &rng);
+      const double exact = L1Distance(a, b);
+      EXPECT_NEAR(ker->l1(a.data(), b.data(), n, exact + 1.0), exact, 1e-9);
+      EXPECT_EQ(ker->l1(a.data(), b.data(), n, exact * 0.5), kInf);
+    }
+  }
 }
 
 TEST(EdTest, L1DominatesEd) {
@@ -91,8 +180,7 @@ TEST(EdTest, L1DominatesEd) {
   for (int t = 0; t < 30; ++t) {
     const auto a = RandomSeries(64, &rng);
     const auto b = RandomSeries(64, &rng);
-    EXPECT_GE(L1DistanceEarlyAbandon(a, b),
-              EuclideanDistance(a, b) - 1e-9);
+    EXPECT_GE(L1Distance(a, b), EuclideanDistance(a, b) - 1e-9);
   }
 }
 
@@ -212,14 +300,20 @@ TEST_P(LowerBoundProperty, BoundsSandwichDtw) {
 
     EXPECT_LE(LbKimSquared(s, q), dtw_sq + 1e-9);
 
-    std::vector<double> cb;
-    const double keogh = LbKeoghSquared(s, env, kInf, &cb);
-    EXPECT_LE(keogh, dtw_sq + 1e-9);
+    const double explicit_keogh = ExplicitKeogh(s, env);
+    EXPECT_LE(explicit_keogh, dtw_sq + 1e-9);
+    for (const simd::Kernels* ker : KernelTiers()) {
+      SCOPED_TRACE(simd::TierName(ker->tier));
+      std::vector<double> cb(s.size());
+      const double keogh = KernelKeogh(*ker, s, env, cb.data());
+      EXPECT_NEAR(keogh, explicit_keogh, 1e-9);
+      EXPECT_NEAR(KernelKeogh(*ker, s, env), keogh, 1e-9);
 
-    // Cumulative array sums to the bound.
-    const auto cum = SuffixCumulate(cb);
-    EXPECT_NEAR(cum[0], keogh, 1e-9);
-    EXPECT_EQ(cum.back(), 0.0);
+      // Cumulative array sums to the bound.
+      const auto cum = SuffixCumulate(cb);
+      EXPECT_NEAR(cum[0], keogh, 1e-9);
+      EXPECT_EQ(cum.back(), 0.0);
+    }
 
     // LB_PAA over w=16 windows.
     const size_t w = 16, p = 96 / w;
@@ -239,15 +333,21 @@ INSTANTIATE_TEST_SUITE_P(Rho, LowerBoundProperty,
 TEST(LowerBoundTest, NormalizedKeoghMatchesExplicitNormalization) {
   Rng rng(14);
   const auto s = RandomSeries(64, &rng);
-  auto q = RandomSeries(64, &rng);
-  q = ZNormalize(q);
+  const auto q = ZNormalize(RandomSeries(64, &rng));
   const Envelope env = BuildEnvelope(q, 4);
   const MeanStd ms = ComputeMeanStd(s);
   const auto s_hat = ZNormalize(s);
-  const double direct = LbKeoghSquared(s_hat, env, kInf, nullptr);
-  const double on_the_fly =
-      LbKeoghNormalizedSquared(s, ms.mean, ms.std, env, kInf, nullptr);
-  EXPECT_NEAR(direct, on_the_fly, 1e-9);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    SCOPED_TRACE(simd::TierName(ker->tier));
+    std::vector<double> on_the_fly(s.size());
+    ker->znormalize(s.data(), s.size(), ms.mean, 1.0 / ms.std,
+                    on_the_fly.data());
+    for (size_t i = 0; i < s.size(); ++i) {
+      EXPECT_NEAR(on_the_fly[i], s_hat[i], 1e-12) << "i=" << i;
+    }
+    EXPECT_NEAR(KernelKeogh(*ker, on_the_fly, env), ExplicitKeogh(s_hat, env),
+                1e-9);
+  }
 }
 
 TEST(LowerBoundTest, KeoghZeroInsideEnvelope) {
@@ -255,7 +355,9 @@ TEST(LowerBoundTest, KeoghZeroInsideEnvelope) {
   const auto q = RandomSeries(64, &rng);
   const Envelope env = BuildEnvelope(q, 3);
   // The query itself lies inside its own envelope.
-  EXPECT_EQ(LbKeoghSquared(q, env, kInf, nullptr), 0.0);
+  for (const simd::Kernels* ker : KernelTiers()) {
+    EXPECT_EQ(KernelKeogh(*ker, q, env), 0.0) << simd::TierName(ker->tier);
+  }
 }
 
 TEST(LowerBoundTest, LbKimUsesEndpoints) {

@@ -5,8 +5,9 @@
 # the concurrent service/network/ingest/executor tests (including the
 # racing-cancel suite) and an ASan+UBSan build of the
 # storage/service/net/ingest/executor tests plus the crash-point-replay
-# suite (fault_kvstore_test) and the scalar-vs-SIMD parity suite
-# (simd_parity_test). Mirrors what CI runs; use it locally before sending
+# suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
+# (simd_parity_test) and the full-range verify of the baselines and the
+# verifier (baseline_test, verifier_test). Mirrors what CI runs; use it locally before sending
 # a PR.
 #
 #   tools/run_checks.sh [jobs]
@@ -41,12 +42,12 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/simd_parity_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test ingest_test \
            executor_test trace_test event_log_test fault_kvstore_test \
-           simd_parity_test
+           simd_parity_test baseline_test verifier_test
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -58,6 +59,10 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/fault_kvstore_test
 ./build-asan/simd_parity_test
 KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
+# UCR Suite verifies every offset, so its gathered blocks end exactly at
+# offset n - m: the full-range edge of the verifier's gather.
+./build-asan/baseline_test
+./build-asan/verifier_test
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
