@@ -72,6 +72,7 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
   std::vector<double> s_hat(m);
   std::vector<double> s_means(p);
   std::vector<double> cb(m);  // LB_Keogh contributions
+  std::vector<double> cum(m + 1);  // suffix sums of cb: DtwDistance's cum_lb
   for (size_t off = 0; off + m <= n; ++off) {
     if (stats != nullptr) ++stats->offsets_scanned;
     const auto s = series_.Subsequence(off, m);
@@ -159,7 +160,7 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
         continue;
       }
     }
-    const std::vector<double> cum = SuffixCumulate(cb);
+    SuffixCumulate(cb, cum);
     const double d = DtwDistance(s_cmp, q_cmp, params.rho, eps, cum);
     if (stats != nullptr) ++stats->distance_calls;
     if (d <= eps) results.push_back({off, d});

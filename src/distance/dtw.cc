@@ -14,29 +14,32 @@ double DtwDistance(std::span<const double> a, std::span<const double> b,
   const double inf = std::numeric_limits<double>::infinity();
   const double thr_sq = threshold < inf ? threshold * threshold : inf;
 
-  // Row-by-row DP over the band; prev/curr hold squared costs.
-  std::vector<double> prev(m, inf), curr(m, inf);
+  // Two DP rows of squared costs with a sentinel column: row[j + 1] is
+  // cell j and row[0] is column -1. Only the band is ever written; since
+  // j_hi never decreases, cells right of the band stay +inf, and each row
+  // resets just its left boundary cell. prev starts as row -1 with
+  // prev[0] = 0, so cell (0, 0) costs d(0, 0).
+  std::vector<double> rows(2 * (m + 1), inf);
+  double* prev = rows.data();
+  double* curr = rows.data() + (m + 1);
+  prev[0] = 0.0;
   for (size_t i = 0; i < m; ++i) {
     if (cancel != nullptr && i % kDtwCancelRows == 0 && cancel->cancelled()) {
       return inf;
     }
     const size_t j_lo = i > rho ? i - rho : 0;
     const size_t j_hi = std::min(m - 1, i + rho);
+    curr[j_lo] = inf;
     double row_min = inf;
     for (size_t j = j_lo; j <= j_hi; ++j) {
       const double d = a[i] - b[j];
-      const double cost = d * d;
-      double best;
-      if (i == 0 && j == 0) {
-        best = 0.0;
-      } else {
-        best = inf;
-        if (i > 0) best = std::min(best, prev[j]);                    // a-suffix
-        if (j > 0) best = std::min(best, curr[j - 1]);                // b-suffix
-        if (i > 0 && j > 0) best = std::min(best, prev[j - 1]);       // both
-      }
-      curr[j] = best + cost;
-      row_min = std::min(row_min, curr[j]);
+      // Folding into +inf drops NaN operands, so the minimum is the same
+      // whatever the order; the b-suffix cell, the one carried from the
+      // previous iteration, goes last to keep it off the latency chain.
+      const double best =
+          std::min(std::min(std::min(inf, prev[j + 1]), prev[j]), curr[j]);
+      curr[j + 1] = best + d * d;
+      row_min = std::min(row_min, curr[j + 1]);
     }
     // Early abandoning: the final cost can only grow along any path; add
     // the cumulative lower bound of the remaining tail when available.
@@ -49,12 +52,11 @@ double DtwDistance(std::span<const double> a, std::span<const double> b,
       if (row_min + tail > thr_sq) return inf;
     }
     std::swap(prev, curr);
-    std::fill(curr.begin(), curr.end(), inf);
   }
   // Uniform early-abandon contract: any result above the threshold is
   // reported as +inf, whether detected mid-band or at the end.
-  if (prev[m - 1] > thr_sq) return inf;
-  return std::sqrt(prev[m - 1]);
+  if (prev[m] > thr_sq) return inf;
+  return std::sqrt(prev[m]);
 }
 
 double DtwDistanceFull(std::span<const double> a, std::span<const double> b) {

@@ -12,11 +12,16 @@ namespace kvmatch {
 /// DTW distance between equal-length sequences restricted to the
 /// Sakoe-Chiba band |i - j| <= rho. With rho = 0 this equals ED.
 ///
+/// Cost: O(m·(2ρ+1)) time — only the band's cells are touched — and O(m)
+/// scratch (two DP rows). The result is bit-identical to the textbook
+/// formulation that clears a full row per DP row: every cell takes the
+/// same minimum of the same neighbours and does the same single addition.
+///
 /// `threshold` (on the *distance*, not its square) enables early abandoning:
-/// if every cell in some anti-diagonal row of the band exceeds threshold²,
-/// +inf is returned. `cum_lb` optionally supplies the UCR Suite cumulative
-/// lower-bound tail array (cb[i] = lower bound contribution of points >= i):
-/// adding cb[i+band] tightens abandoning further.
+/// if every band cell of some DP row i exceeds threshold², +inf is returned.
+/// `cum_lb` optionally supplies the UCR Suite cumulative lower-bound tail
+/// array (cum_lb[k] = lower bound contribution of points >= k): adding
+/// cum_lb[i+ρ+1] to row i's minimum tightens abandoning further.
 ///
 /// `cancel` (borrowed, may be null) is polled every kDtwCancelRows DP rows:
 /// one pathologically long candidate (m ~ 10⁴, wide band → 10⁸ cells) no

@@ -1,6 +1,7 @@
 #include "distance/lower_bounds.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace kvmatch {
@@ -27,12 +28,12 @@ double LbKimSquared(std::span<const double> s, std::span<const double> q,
   return lb;
 }
 
-std::vector<double> SuffixCumulate(const std::vector<double>& cb) {
-  std::vector<double> out(cb.size() + 1, 0.0);
+void SuffixCumulate(std::span<const double> cb, std::span<double> out) {
+  assert(out.size() == cb.size() + 1);
+  out[cb.size()] = 0.0;
   for (size_t i = cb.size(); i > 0; --i) {
     out[i - 1] = out[i] + cb[i - 1];
   }
-  return out;
 }
 
 double LbPaaSquared(std::span<const double> s_means,

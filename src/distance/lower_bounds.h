@@ -9,7 +9,6 @@
 
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace kvmatch {
 
@@ -21,8 +20,10 @@ double LbKimSquared(std::span<const double> s, std::span<const double> q,
 
 /// Converts per-position LB_Keogh contributions cb (the `cb` output of the
 /// simd::Kernels lb_keogh kernel) into the suffix-cumulative array
-/// used by DtwDistance: out[i] = sum_{k >= i} cb[k], out[m] = 0.
-std::vector<double> SuffixCumulate(const std::vector<double>& cb);
+/// used by DtwDistance: out[i] = sum_{k >= i} cb[k], out[m] = 0. `out` is
+/// caller-owned and holds cb.size() + 1 doubles, so a verify loop can reuse
+/// one buffer across candidates.
+void SuffixCumulate(std::span<const double> cb, std::span<double> out);
 
 /// LB_PAA (paper Eq. 3): piecewise-aggregate bound over p disjoint windows
 /// of width w, using candidate window means vs envelope window means.

@@ -67,6 +67,7 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
   simd::AlignedBuffer s_hat;   // normalized candidate scratch
   std::vector<double> means, stds;
   std::vector<double> cb;      // LB_Keogh contributions
+  std::vector<double> cum;     // suffix sums of cb: DtwDistance's cum_lb
   const std::vector<double>& xs = series_.values();
   const std::span<const double> psum = prefix_.prefix_sums();
   const std::span<const double> psq = prefix_.prefix_squares();
@@ -163,9 +164,9 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
             continue;
           }
           std::span<const double> cum_lb;
-          std::vector<double> cum;
           if (options.use_lb_keogh) {
             cb.resize(m);
+            cum.resize(m + 1);
             const double lb = ker.lb_keogh(s_cmp, env.lower.data(),
                                            env.upper.data(), m, eps_sq,
                                            cb.data());
@@ -173,7 +174,7 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
               if (stats != nullptr) ++stats->lb_pruned;
               continue;
             }
-            cum = SuffixCumulate(cb);
+            SuffixCumulate(cb, cum);
             cum_lb = cum;
           }
           const double d = DtwDistance(s_span, q_cmp, params.rho,

@@ -5,14 +5,20 @@
 // machine has it) against independent formulas: EuclideanDistance,
 // L1Distance, explicit ZNormalize and an explicit envelope clamp. The
 // parity suite only compares tiers with each other; these tests check
-// that the shared kernels compute the right values.
+// that the shared kernels compute the right values. The band-only DTW DP
+// is checked bit for bit against ReferenceBandedDtw, the textbook DP that
+// clears a full row per DP row.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "distance/dtw.h"
 #include "distance/ed.h"
@@ -248,6 +254,129 @@ TEST(DtwTest, EmptyInputIsZero) {
   EXPECT_EQ(DtwDistance(empty, empty, 0), 0.0);
 }
 
+/// The banded DP in its textbook form: two m-wide rows, the current one
+/// cleared in full after every DP row, branches for the matrix edges. It
+/// costs O(m²) per call; DtwDistance must return exactly its doubles.
+double ReferenceBandedDtw(std::span<const double> a,
+                          std::span<const double> b, size_t rho,
+                          double threshold, std::span<const double> cum_lb,
+                          const CancelToken* cancel) {
+  const size_t m = a.size();
+  if (m == 0) return 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double thr_sq = threshold < inf ? threshold * threshold : inf;
+
+  // Row-by-row DP over the band; prev/curr hold squared costs.
+  std::vector<double> prev(m, inf), curr(m, inf);
+  for (size_t i = 0; i < m; ++i) {
+    if (cancel != nullptr && i % kDtwCancelRows == 0 && cancel->cancelled()) {
+      return inf;
+    }
+    const size_t j_lo = i > rho ? i - rho : 0;
+    const size_t j_hi = std::min(m - 1, i + rho);
+    double row_min = inf;
+    for (size_t j = j_lo; j <= j_hi; ++j) {
+      const double d = a[i] - b[j];
+      const double cost = d * d;
+      double best;
+      if (i == 0 && j == 0) {
+        best = 0.0;
+      } else {
+        best = inf;
+        if (i > 0) best = std::min(best, prev[j]);                    // a-suffix
+        if (j > 0) best = std::min(best, curr[j - 1]);                // b-suffix
+        if (i > 0 && j > 0) best = std::min(best, prev[j - 1]);       // both
+      }
+      curr[j] = best + cost;
+      row_min = std::min(row_min, curr[j]);
+    }
+    // Early abandoning: the final cost can only grow along any path; add
+    // the cumulative lower bound of the remaining tail when available.
+    if (thr_sq < inf) {
+      double tail = 0.0;
+      if (!cum_lb.empty()) {
+        const size_t next = std::min(m, i + rho + 1);
+        if (next < cum_lb.size()) tail = cum_lb[next];
+      }
+      if (row_min + tail > thr_sq) return inf;
+    }
+    std::swap(prev, curr);
+    std::fill(curr.begin(), curr.end(), inf);
+  }
+  // Uniform early-abandon contract: any result above the threshold is
+  // reported as +inf, whether detected mid-band or at the end.
+  if (prev[m - 1] > thr_sq) return inf;
+  return std::sqrt(prev[m - 1]);
+}
+
+/// Bit-for-bit equality, so NaN results compare equal to themselves.
+bool SameBits(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
+TEST(DtwTest, BandedDpBitIdenticalToFullRowReference) {
+  Rng rng(41);
+  const CancelToken live;  // never cancelled: the polling must not matter
+  for (size_t m : {1u, 2u, 3u, 17u, 256u}) {
+    std::vector<size_t> rhos = {0, 1, 3, 12, m - 1, m, m + 7};
+    if (m >= 2) rhos.push_back(m - 2);
+    for (size_t rho : rhos) {
+      for (int t = 0; t < 3; ++t) {
+        const auto a = RandomSeries(m, &rng);
+        const auto b = RandomSeries(m, &rng);
+        // cum_lb as the verifier builds it: LB_Keogh of the candidate
+        // against the query's envelope, suffix-summed.
+        const Envelope env = BuildEnvelope(b, rho);
+        std::vector<double> cb(m), cum(m + 1);
+        KernelKeogh(simd::ActiveKernels(), a, env, cb.data());
+        SuffixCumulate(cb, cum);
+
+        const double exact = ReferenceBandedDtw(a, b, rho, kInf, {}, nullptr);
+        for (double thr : {kInf, exact, std::nextafter(exact, 0.0),
+                           0.9 * exact}) {
+          for (std::span<const double> cum_lb :
+               {std::span<const double>(), std::span<const double>(cum)}) {
+            SCOPED_TRACE("m=" + std::to_string(m) + " rho=" +
+                         std::to_string(rho) + " thr=" + std::to_string(thr) +
+                         " cum_lb=" + std::to_string(cum_lb.size()));
+            const double want =
+                ReferenceBandedDtw(a, b, rho, thr, cum_lb, nullptr);
+            EXPECT_EQ(DtwDistance(a, b, rho, thr, cum_lb), want);
+            EXPECT_EQ(DtwDistance(a, b, rho, thr, cum_lb, &live), want);
+          }
+        }
+        EXPECT_EQ(DtwDistance(a, b, rho), exact);
+      }
+    }
+  }
+}
+
+TEST(DtwTest, BandedDpBitIdenticalOnNonFiniteInput) {
+  // NaN and ±inf points: the DP's minimum must still pick the same
+  // operands as the reference, so even NaN payloads come out identical.
+  Rng rng(43);
+  const size_t m = 40;
+  auto a = RandomSeries(m, &rng);
+  auto b = RandomSeries(m, &rng);
+  a[7] = std::numeric_limits<double>::quiet_NaN();
+  a[20] = kInf;
+  b[21] = kInf;
+  b[30] = -kInf;
+  for (size_t rho : {0u, 1u, 3u, 12u, 39u}) {
+    for (double thr : {kInf, 50.0}) {
+      SCOPED_TRACE("rho=" + std::to_string(rho) + " thr=" +
+                   std::to_string(thr));
+      EXPECT_TRUE(SameBits(DtwDistance(a, b, rho, thr),
+                           ReferenceBandedDtw(a, b, rho, thr, {}, nullptr)));
+    }
+  }
+  auto c = RandomSeries(m, &rng);
+  c[m - 1] = std::numeric_limits<double>::quiet_NaN();  // NaN final cell
+  EXPECT_TRUE(std::isnan(DtwDistance(c, b, 3)));
+  EXPECT_TRUE(SameBits(DtwDistance(c, b, 3),
+                       ReferenceBandedDtw(c, b, 3, kInf, {}, nullptr)));
+}
+
 TEST(EnvelopeTest, MatchesNaiveMinMax) {
   Rng rng(10);
   const auto q = RandomSeries(200, &rng);
@@ -310,7 +439,8 @@ TEST_P(LowerBoundProperty, BoundsSandwichDtw) {
       EXPECT_NEAR(KernelKeogh(*ker, s, env), keogh, 1e-9);
 
       // Cumulative array sums to the bound.
-      const auto cum = SuffixCumulate(cb);
+      std::vector<double> cum(cb.size() + 1);
+      SuffixCumulate(cb, cum);
       EXPECT_NEAR(cum[0], keogh, 1e-9);
       EXPECT_EQ(cum.back(), 0.0);
     }

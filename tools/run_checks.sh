@@ -6,9 +6,10 @@
 # racing-cancel suite) and an ASan+UBSan build of the
 # storage/service/net/ingest/executor tests plus the crash-point-replay
 # suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
-# (simd_parity_test) and the full-range verify of the baselines and the
-# verifier (baseline_test, verifier_test). Mirrors what CI runs; use it locally before sending
-# a PR.
+# (simd_parity_test), the full-range verify of the baselines and the
+# verifier (baseline_test, verifier_test) and the banded DTW DP
+# (distance_test, match_property_test). Mirrors what CI runs; use it
+# locally before sending a PR.
 #
 #   tools/run_checks.sh [jobs]
 set -euo pipefail
@@ -42,12 +43,13 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/simd_parity_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify + DTW ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test ingest_test \
            executor_test trace_test event_log_test fault_kvstore_test \
-           simd_parity_test baseline_test verifier_test
+           simd_parity_test baseline_test verifier_test distance_test \
+           match_property_test
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -63,6 +65,10 @@ KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
 # offset n - m: the full-range edge of the verifier's gather.
 ./build-asan/baseline_test
 ./build-asan/verifier_test
+# The banded DTW DP indexes its rows through a sentinel column and writes
+# only the band: the bitwise DP test and the match properties cover it.
+./build-asan/distance_test
+./build-asan/match_property_test
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
