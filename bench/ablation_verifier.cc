@@ -1,14 +1,40 @@
 // Ablation: the phase-2 lower-bound cascade (VerifyOptions). Measures
 // cNSM-DTW verification time and pruning counters with each stage of the
-// cascade toggled — quantifying what LB_Kim, LB_Keogh and reordered early
-// abandoning contribute to the headline numbers.
+// cascade toggled — quantifying what LB_Kim and LB_Keogh (the query-side
+// EQ pass plus the candidate-envelope EC pass) contribute to the headline
+// numbers.
+//
+// It is also a check: the lower bounds may only prune, never change an
+// answer, so every configuration must return the same matches (offsets
+// and distance bits). The bench exits non-zero when they differ.
 //
 //   ./ablation_verifier [--n <len>] [--runs <k>] [--seed <s>] [--quick]
 #include "bench_common.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "match/kv_match.h"
 
 using namespace kvmatch;
+
+namespace {
+
+/// Same offsets and the same distance bits, in the same order.
+bool SameMatches(const std::vector<MatchResult>& a,
+                 const std::vector<MatchResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].offset != b[i].offset ||
+        std::bit_cast<uint64_t>(a[i].distance) !=
+            std::bit_cast<uint64_t>(b[i].distance)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
@@ -41,9 +67,13 @@ int main(int argc, char** argv) {
   const Config configs[] = {
       {"no lower bounds", false, false},
       {"LB_Kim only", true, false},
-      {"LB_Keogh only", false, true},
+      {"LB_Keogh EQ+EC only", false, true},
       {"full cascade (default)", true, true},
   };
+  // Matches of the first configuration, per run: the reference every
+  // other configuration must reproduce bit for bit.
+  std::vector<std::vector<MatchResult>> reference;
+  bool identical = true;
 
   TablePrinter table({"Cascade", "phase2 (ms)", "LB pruned", "DTW calls"});
   for (const Config& config : configs) {
@@ -63,6 +93,13 @@ int main(int argc, char** argv) {
                      r.status().ToString().c_str());
         return 1;
       }
+      if (reference.size() < queries.size()) {
+        reference.push_back(*r);
+      } else if (!SameMatches(reference[static_cast<size_t>(run)], *r)) {
+        std::fprintf(stderr, "%s: run %d returned different matches\n",
+                     config.name, run);
+        identical = false;
+      }
       ms += stats.phase2_ms;
       pruned += stats.lb_pruned;
       calls += stats.distance_calls;
@@ -74,9 +111,13 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\nExpected shape: each stage cuts DTW calls; LB_Keogh does the heavy\n"
-      "lifting, LB_Kim is a cheap first filter, and the full cascade gives\n"
-      "the lowest phase-2 time. All configurations return identical\n"
-      "results (verified in match_test.cc).\n");
+      "\nExpected shape: each stage cuts DTW calls; LB_Keogh (EQ, then EC on\n"
+      "the block envelope) does the heavy lifting, LB_Kim is a cheap first\n"
+      "filter, and the full cascade gives the lowest phase-2 time.\n");
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: cascade configurations disagree\n");
+    return 1;
+  }
+  std::printf("All configurations returned identical matches.\n");
   return 0;
 }

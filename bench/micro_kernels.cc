@@ -243,7 +243,7 @@ void RegisterSimdKernelBenches() {
             for (auto _ : state) {
               benchmark::DoNotOptimize(
                   ker->lb_keogh(s.data(), env.lower.data(), env.upper.data(),
-                                n, kNoAbandon, nullptr));
+                                n, 0.0, 1.0, kNoAbandon, nullptr, nullptr));
             }
             state.SetBytesProcessed(
                 static_cast<int64_t>(state.iterations() * n * 3 *

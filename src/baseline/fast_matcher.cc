@@ -22,7 +22,11 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
   const bool normalized = IsNormalized(params.type);
   const bool dtw = IsDtw(params.type);
   const double eps = params.epsilon;
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredThreshold(eps);
+  // Lower-bound prunes compare against ε² widened for rounding, as the
+  // Verifier's do: a bound tight in exact arithmetic can round a few ulps
+  // above the distance it bounds (see WidenForRounding).
+  const double lb_eps_sq = WidenForRounding(eps_sq, m);
 
   const simd::Kernels& ker = simd::ActiveKernels();
 
@@ -73,6 +77,8 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
   std::vector<double> s_means(p);
   std::vector<double> cb(m);  // LB_Keogh contributions
   std::vector<double> cum(m + 1);  // suffix sums of cb: DtwDistance's cum_lb
+  std::vector<double> cand_lower(m), cand_upper(m);  // candidate envelope
+  std::vector<size_t> env_queues;
   for (size_t off = 0; off + m <= n; ++off) {
     if (stats != nullptr) ++stats->offsets_scanned;
     const auto s = series_.Subsequence(off, m);
@@ -109,7 +115,7 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
           if (stats != nullptr) ++stats->paa_pruned;
           continue;
         }
-      } else if (LbPaaSquared(s_means, paa_lo, paa_hi, paa_w) > eps_sq) {
+      } else if (LbPaaSquared(s_means, paa_lo, paa_hi, paa_w) > lb_eps_sq) {
         if (stats != nullptr) ++stats->paa_pruned;
         continue;
       }
@@ -136,29 +142,30 @@ std::vector<MatchResult> FastMatcher::Match(std::span<const double> q,
       continue;
     }
 
-    std::span<const double> s_cmp = s;
-    if (normalized) {
-      ker.znormalize(s.data(), m, mean, inv, s_hat.data());
-      s_cmp = s_hat;
-    }
-    if (LbKimSquared(s_cmp, q_cmp, eps_sq) > eps_sq) {
+    // LB_Kim reads four end points and LB_Keogh normalizes as it goes,
+    // so a cNSM candidate is fully normalized only if it survives both.
+    const double norm_mean = normalized ? mean : 0.0;
+    const double norm_inv = normalized ? inv : 1.0;
+    if (LbKimSquared(s.data(), norm_mean, norm_inv, q_cmp, lb_eps_sq) >
+        lb_eps_sq) {
       if (stats != nullptr) ++stats->lb_kim_pruned;
       continue;
     }
-    if (ker.lb_keogh(s_cmp.data(), env.lower.data(), env.upper.data(), m,
-                     eps_sq, cb.data()) > eps_sq) {
+    if (ker.lb_keogh(s.data(), env.lower.data(), env.upper.data(), m,
+                     norm_mean, norm_inv, lb_eps_sq, cb.data(),
+                     normalized ? s_hat.data() : nullptr) > lb_eps_sq) {
       if (stats != nullptr) ++stats->lb_keogh_pruned;
       continue;
     }
+    const std::span<const double> s_cmp =
+        normalized ? std::span<const double>(s_hat) : s;
     // Second Keogh pass: query against the candidate's own envelope.
-    {
-      const Envelope cand_env = BuildEnvelope(s_cmp, params.rho);
-      if (ker.lb_keogh(q_cmp.data(), cand_env.lower.data(),
-                       cand_env.upper.data(), m, eps_sq,
-                       nullptr) > eps_sq) {
-        if (stats != nullptr) ++stats->lb_keogh_ec_pruned;
-        continue;
-      }
+    BuildEnvelope(s_cmp, params.rho, cand_lower.data(), cand_upper.data(),
+                  env_queues);
+    if (ker.lb_keogh(q_cmp.data(), cand_lower.data(), cand_upper.data(), m,
+                     0.0, 1.0, lb_eps_sq, nullptr, nullptr) > lb_eps_sq) {
+      if (stats != nullptr) ++stats->lb_keogh_ec_pruned;
+      continue;
     }
     SuffixCumulate(cb, cum);
     const double d = DtwDistance(s_cmp, q_cmp, params.rho, eps, cum);

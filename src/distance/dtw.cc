@@ -12,7 +12,8 @@ double DtwDistance(std::span<const double> a, std::span<const double> b,
   const size_t m = a.size();
   if (m == 0) return 0.0;
   const double inf = std::numeric_limits<double>::infinity();
-  const double thr_sq = threshold < inf ? threshold * threshold : inf;
+  const double thr_sq = SquaredThreshold(threshold);
+  const double thr_tail_sq = WidenForRounding(thr_sq, m);
 
   // Two DP rows of squared costs with a sentinel column: row[j + 1] is
   // cell j and row[0] is column -1. Only the band is ever written; since
@@ -41,15 +42,18 @@ double DtwDistance(std::span<const double> a, std::span<const double> b,
       curr[j + 1] = best + d * d;
       row_min = std::min(row_min, curr[j + 1]);
     }
-    // Early abandoning: the final cost can only grow along any path; add
-    // the cumulative lower bound of the remaining tail when available.
+    // Early abandoning: the final cost can only grow along any path (FP
+    // addition of non-negative terms never decreases a sum), so the row
+    // minimum is compared exactly; the cumulative lower bound of the
+    // remaining tail, when available, tightens it up to rounding.
     if (thr_sq < inf) {
-      double tail = 0.0;
+      if (row_min > thr_sq) return inf;
       if (!cum_lb.empty()) {
         const size_t next = std::min(m, i + rho + 1);
-        if (next < cum_lb.size()) tail = cum_lb[next];
+        if (next < cum_lb.size() && row_min + cum_lb[next] > thr_tail_sq) {
+          return inf;
+        }
       }
-      if (row_min + tail > thr_sq) return inf;
     }
     std::swap(prev, curr);
   }

@@ -1,34 +1,42 @@
 #include "distance/envelope.h"
 
-#include <deque>
-
 namespace kvmatch {
 
-Envelope BuildEnvelope(std::span<const double> q, size_t rho) {
-  const size_t m = q.size();
-  Envelope env;
-  env.lower.resize(m);
-  env.upper.resize(m);
-  if (m == 0) return env;
-
-  // Window for position i is [i-rho, i+rho] clamped to [0, m).
-  std::deque<size_t> max_dq, min_dq;
+void BuildEnvelope(std::span<const double> x, size_t rho, double* lower,
+                   double* upper, std::vector<size_t>& queues) {
+  const size_t n = x.size();
+  if (n == 0) return;
+  if (queues.size() < 2 * n) queues.resize(2 * n);
+  // Each queue holds window indices whose values are strictly monotone
+  // from head to tail (ties keep the newer index): the head is the
+  // window's max (resp. min).
+  size_t* max_q = queues.data();
+  size_t* min_q = queues.data() + n;
+  size_t max_head = 0, max_tail = 0, min_head = 0, min_tail = 0;
   size_t right = 0;  // next index to push
-  for (size_t i = 0; i < m; ++i) {
-    const size_t win_hi = std::min(m - 1, i + rho);
-    while (right <= win_hi) {
-      while (!max_dq.empty() && q[max_dq.back()] <= q[right]) max_dq.pop_back();
-      max_dq.push_back(right);
-      while (!min_dq.empty() && q[min_dq.back()] >= q[right]) min_dq.pop_back();
-      min_dq.push_back(right);
-      ++right;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t win_hi = rho >= n - 1 - i ? n - 1 : i + rho;
+    for (; right <= win_hi; ++right) {
+      const double v = x[right];
+      while (max_tail > max_head && x[max_q[max_tail - 1]] <= v) --max_tail;
+      max_q[max_tail++] = right;
+      while (min_tail > min_head && x[min_q[min_tail - 1]] >= v) --min_tail;
+      min_q[min_tail++] = right;
     }
     const size_t win_lo = i > rho ? i - rho : 0;
-    while (max_dq.front() < win_lo) max_dq.pop_front();
-    while (min_dq.front() < win_lo) min_dq.pop_front();
-    env.upper[i] = q[max_dq.front()];
-    env.lower[i] = q[min_dq.front()];
+    while (max_q[max_head] < win_lo) ++max_head;
+    while (min_q[min_head] < win_lo) ++min_head;
+    upper[i] = x[max_q[max_head]];
+    lower[i] = x[min_q[min_head]];
   }
+}
+
+Envelope BuildEnvelope(std::span<const double> q, size_t rho) {
+  Envelope env;
+  env.lower.resize(q.size());
+  env.upper.resize(q.size());
+  std::vector<size_t> queues;
+  BuildEnvelope(q, rho, env.lower.data(), env.upper.data(), queues);
   return env;
 }
 

@@ -10,20 +10,28 @@ namespace {
 inline double Sq(double x) { return x * x; }
 }  // namespace
 
-double LbKimSquared(std::span<const double> s, std::span<const double> q,
-                    double threshold_sq) {
+double LbKimSquared(const double* s, double mean, double inv_std,
+                    std::span<const double> q, double threshold_sq) {
   const size_t m = q.size();
   if (m == 0) return 0.0;
-  // First and last points are fixed by any warping path.
-  double lb = Sq(s[0] - q[0]) + Sq(s[m - 1] - q[m - 1]);
+  const auto x = [&](size_t i) { return (s[i] - mean) * inv_std; };
+  // First and last points are fixed by any warping path; for m = 1 they
+  // are the same cell, counted once.
+  const double first = x(0);
+  if (m == 1) return Sq(first - q[0]);
+  const double last = x(m - 1);
+  double lb = Sq(first - q[0]) + Sq(last - q[m - 1]);
   if (lb > threshold_sq || m < 4) return lb;
   // Second point: best alignment among the three feasible pairings.
-  double d = std::min({Sq(s[1] - q[0]), Sq(s[0] - q[1]), Sq(s[1] - q[1])});
+  const double second = x(1);
+  double d = std::min({Sq(second - q[0]), Sq(first - q[1]),
+                       Sq(second - q[1])});
   lb += d;
   if (lb > threshold_sq) return lb;
   // Penultimate point, symmetric.
-  d = std::min({Sq(s[m - 2] - q[m - 1]), Sq(s[m - 1] - q[m - 2]),
-                Sq(s[m - 2] - q[m - 2])});
+  const double penult = x(m - 2);
+  d = std::min({Sq(penult - q[m - 1]), Sq(last - q[m - 2]),
+                Sq(penult - q[m - 2])});
   lb += d;
   return lb;
 }

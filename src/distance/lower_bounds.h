@@ -12,9 +12,14 @@
 
 namespace kvmatch {
 
-/// Simplified LB_Kim (UCR Suite's LB_KimFL): distances of the first and
-/// last points (plus second/penultimate refinements).
-double LbKimSquared(std::span<const double> s, std::span<const double> q,
+/// Simplified LB_Kim (UCR Suite's LB_KimFL) of the normalized candidate
+/// x[i] = (s[i] - mean) * inv_std against q: distances of the first and
+/// last points (plus second/penultimate refinements when q.size() >= 4).
+/// Only those (up to) four points of s are read and normalized, so a cNSM
+/// candidate can be tested before anything normalizes its whole window.
+/// `s` holds at least q.size() points.
+double LbKimSquared(const double* s, double mean, double inv_std,
+                    std::span<const double> q,
                     double threshold_sq
                     = std::numeric_limits<double>::infinity());
 

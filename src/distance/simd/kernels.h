@@ -73,12 +73,21 @@ struct Kernels {
   /// L1 distance with early abandoning at `threshold` (unsquared).
   double (*l1)(const double* a, const double* b, size_t n, double threshold);
 
-  /// LB_Keogh clamp-and-accumulate of s against [lower, upper]. When `cb`
-  /// is non-null it receives the per-position squared contributions and no
-  /// early abandoning happens (the DTW tail-tightening path needs every
-  /// entry); when null, abandons (+inf) at checkpoints past threshold_sq.
+  /// LB_Keogh clamp-and-accumulate of x[i] = (s[i] - mean) * inv_std
+  /// against [lower, upper]; mean = 0, inv_std = 1 compares s itself
+  /// (x - 0 and x * 1 are exact). Normalizing inside the loop lets cNSM
+  /// candidates skip a separate full-window z-normalization: only the
+  /// points visited before an abandon are ever normalized.
+  ///
+  /// Abandons (+inf) at the usual checkpoints once the running sum
+  /// exceeds threshold_sq, whether or not the optional outputs are given.
+  /// When non-null, `cb` receives the per-position squared contributions
+  /// and `s_norm` the normalized points x[i], each up to the abandoning
+  /// checkpoint (complete when the call returns a finite value). Callers
+  /// that need every entry regardless pass threshold_sq = +inf.
   double (*lb_keogh)(const double* s, const double* lower, const double* upper,
-                     size_t n, double threshold_sq, double* cb);
+                     size_t n, double mean, double inv_std,
+                     double threshold_sq, double* cb, double* s_norm);
 
   /// out[i] = (s[i] - mean) * inv_std.
   void (*znormalize)(const double* s, size_t n, double mean, double inv_std,

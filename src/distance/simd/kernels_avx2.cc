@@ -130,8 +130,11 @@ double L1Avx2(const double* a, const double* b, size_t n, double threshold) {
 }
 
 double LbKeoghAvx2(const double* s, const double* lower, const double* upper,
-                   size_t n, double threshold_sq, double* cb) {
+                   size_t n, double mean, double inv_std, double threshold_sq,
+                   double* cb, double* s_norm) {
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d vmean = _mm256_set1_pd(mean);
+  const __m256d vinv = _mm256_set1_pd(inv_std);
   __m256d acc_a = _mm256_setzero_pd();
   __m256d acc_b = _mm256_setzero_pd();
   double sum = 0.0;
@@ -140,16 +143,18 @@ double LbKeoghAvx2(const double* s, const double* lower, const double* upper,
   while (i < vec_end) {
     const size_t stop = std::min(vec_end, i + kAbandonBlock);
     for (; i < stop; i += 8) {
-      const __m256d s0 = _mm256_loadu_pd(s + i);
-      const __m256d s1 = _mm256_loadu_pd(s + i + 4);
+      const __m256d x0 =
+          _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(s + i), vmean), vinv);
+      const __m256d x1 = _mm256_mul_pd(
+          _mm256_sub_pd(_mm256_loadu_pd(s + i + 4), vmean), vinv);
       const __m256d over0 =
-          _mm256_max_pd(_mm256_sub_pd(s0, _mm256_loadu_pd(upper + i)), zero);
+          _mm256_max_pd(_mm256_sub_pd(x0, _mm256_loadu_pd(upper + i)), zero);
       const __m256d over1 = _mm256_max_pd(
-          _mm256_sub_pd(s1, _mm256_loadu_pd(upper + i + 4)), zero);
+          _mm256_sub_pd(x1, _mm256_loadu_pd(upper + i + 4)), zero);
       const __m256d under0 =
-          _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(lower + i), s0), zero);
+          _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(lower + i), x0), zero);
       const __m256d under1 = _mm256_max_pd(
-          _mm256_sub_pd(_mm256_loadu_pd(lower + i + 4), s1), zero);
+          _mm256_sub_pd(_mm256_loadu_pd(lower + i + 4), x1), zero);
       const __m256d t0 = _mm256_add_pd(over0, under0);
       const __m256d t1 = _mm256_add_pd(over1, under1);
       const __m256d d0 = _mm256_mul_pd(t0, t0);
@@ -160,23 +165,26 @@ double LbKeoghAvx2(const double* s, const double* lower, const double* upper,
         _mm256_storeu_pd(cb + i, d0);
         _mm256_storeu_pd(cb + i + 4, d1);
       }
+      if (s_norm != nullptr) {
+        _mm256_storeu_pd(s_norm + i, x0);
+        _mm256_storeu_pd(s_norm + i + 4, x1);
+      }
     }
     sum = Reduce(acc_a, acc_b);
-    if (cb == nullptr && sum > threshold_sq) return kInf;
+    if (sum > threshold_sq) return kInf;
   }
   for (; i < n; ++i) {
-    const double du = s[i] - upper[i];
-    const double dl = lower[i] - s[i];
+    const double x = (s[i] - mean) * inv_std;
+    const double du = x - upper[i];
+    const double dl = lower[i] - x;
     const double over = du > 0.0 ? du : 0.0;
     const double under = dl > 0.0 ? dl : 0.0;
     const double t = over + under;
     const double d = t * t;
     sum += d;
-    if (cb != nullptr) {
-      cb[i] = d;
-    } else if (sum > threshold_sq) {
-      return kInf;
-    }
+    if (cb != nullptr) cb[i] = d;
+    if (s_norm != nullptr) s_norm[i] = x;
+    if (sum > threshold_sq) return kInf;
   }
   return sum;
 }

@@ -107,7 +107,8 @@ double L1Scalar(const double* a, const double* b, size_t n, double threshold) {
 // Clamp semantics chosen to be expressible as maxpd(x, +0.0): NaN and -0.0
 // inputs both clamp to +0.0 in either tier.
 double LbKeoghScalar(const double* s, const double* lower, const double* upper,
-                     size_t n, double threshold_sq, double* cb) {
+                     size_t n, double mean, double inv_std,
+                     double threshold_sq, double* cb, double* s_norm) {
   double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   double sum = 0.0;
   size_t i = 0;
@@ -116,32 +117,33 @@ double LbKeoghScalar(const double* s, const double* lower, const double* upper,
     const size_t stop = std::min(vec_end, i + kAbandonBlock);
     for (; i < stop; i += 8) {
       for (size_t j = 0; j < 8; ++j) {
-        const double du = s[i + j] - upper[i + j];
-        const double dl = lower[i + j] - s[i + j];
+        const double x = (s[i + j] - mean) * inv_std;
+        const double du = x - upper[i + j];
+        const double dl = lower[i + j] - x;
         const double over = du > 0.0 ? du : 0.0;
         const double under = dl > 0.0 ? dl : 0.0;
         const double t = over + under;
         const double d = t * t;
         acc[j] += d;
         if (cb != nullptr) cb[i + j] = d;
+        if (s_norm != nullptr) s_norm[i + j] = x;
       }
     }
     sum = Reduce8(acc);
-    if (cb == nullptr && sum > threshold_sq) return kInf;
+    if (sum > threshold_sq) return kInf;
   }
   for (; i < n; ++i) {
-    const double du = s[i] - upper[i];
-    const double dl = lower[i] - s[i];
+    const double x = (s[i] - mean) * inv_std;
+    const double du = x - upper[i];
+    const double dl = lower[i] - x;
     const double over = du > 0.0 ? du : 0.0;
     const double under = dl > 0.0 ? dl : 0.0;
     const double t = over + under;
     const double d = t * t;
     sum += d;
-    if (cb != nullptr) {
-      cb[i] = d;
-    } else if (sum > threshold_sq) {
-      return kInf;
-    }
+    if (cb != nullptr) cb[i] = d;
+    if (s_norm != nullptr) s_norm[i] = x;
+    if (sum > threshold_sq) return kInf;
   }
   return sum;
 }

@@ -31,10 +31,14 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
   if (m == 0 || n < m) return Status::OK();
   const simd::Kernels& ker =
       options.kernels != nullptr ? *options.kernels : simd::ActiveKernels();
-  const double eps_sq = params.epsilon * params.epsilon;
+  const double eps_sq = SquaredThreshold(params.epsilon);
   const bool normalized = IsNormalized(params.type);
   const bool dtw = IsDtw(params.type);
   const bool l1 = IsL1(params.type);
+  // Lower-bound prunes compare against ε² widened for rounding, so a
+  // bound tight in exact arithmetic never prunes a match the DP would
+  // accept (see WidenForRounding).
+  const double lb_eps_sq = WidenForRounding(eps_sq, m);
 
   // Query-side precomputation.
   std::vector<double> q_hat;           // normalized query (cNSM)
@@ -66,8 +70,13 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
   simd::AlignedBuffer block;   // gathered series values
   simd::AlignedBuffer s_hat;   // normalized candidate scratch
   std::vector<double> means, stds;
-  std::vector<double> cb;      // LB_Keogh contributions
+  std::vector<double> cb_eq;   // LB_Keogh_EQ contributions (candidate side)
+  std::vector<double> cb_ec;   // LB_Keogh_EC contributions (query side)
   std::vector<double> cum;     // suffix sums of cb: DtwDistance's cum_lb
+  // Block envelope for LB_Keogh_EC, built at most once per block.
+  simd::AlignedBuffer blk_lower, blk_upper;
+  simd::AlignedBuffer c_lower_hat, c_upper_hat;  // cNSM: normalized slice
+  std::vector<size_t> env_queues;
   const std::vector<double>& xs = series_.values();
   const std::span<const double> psum = prefix_.prefix_sums();
   const std::span<const double> psq = prefix_.prefix_squares();
@@ -84,6 +93,7 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
       const size_t span_len = count + m - 1;
       double* blk = block.Resize(span_len);
       std::memcpy(blk, xs.data() + l, span_len * sizeof(double));
+      bool block_env_ready = false;
       if (normalized) {
         means.resize(count);
         stds.resize(count);
@@ -148,35 +158,65 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
           if (stats != nullptr) ++stats->distance_calls;
           if (dist_sq > eps_sq) continue;
         } else {
-          // DTW path: LB_Kim -> LB_Keogh (collecting cb) -> exact banded
-          // DTW (which itself polls the cancel token between rows).
-          const double* s_cmp = s;
-          if (normalized) {
-            const double inv = std > 1e-12 ? 1.0 / std : 0.0;
-            double* sh = s_hat.Resize(m);
-            ker.znormalize(s, m, mean, inv, sh);
-            s_cmp = sh;
-          }
-          const std::span<const double> s_span(s_cmp, m);
+          // DTW path, UCR Suite's cascade: LB_Kim on the four end points,
+          // LB_Keogh_EQ (normalizing as it goes), LB_Keogh_EC against the
+          // block envelope, then the banded DP (which itself polls the
+          // cancel token between rows). Only EQ's survivors have a fully
+          // normalized candidate and complete cb arrays.
+          const double mu = normalized ? mean : 0.0;
+          const double inv =
+              normalized ? (std > 1e-12 ? 1.0 / std : 0.0) : 1.0;
           if (options.use_lb_kim &&
-              LbKimSquared(s_span, q_cmp, eps_sq) > eps_sq) {
+              LbKimSquared(s, mu, inv, q_cmp, lb_eps_sq) > lb_eps_sq) {
             if (stats != nullptr) ++stats->lb_pruned;
             continue;
           }
+          double* sh = normalized ? s_hat.Resize(m) : nullptr;
           std::span<const double> cum_lb;
           if (options.use_lb_keogh) {
-            cb.resize(m);
+            cb_eq.resize(m);
+            cb_ec.resize(m);
             cum.resize(m + 1);
-            const double lb = ker.lb_keogh(s_cmp, env.lower.data(),
-                                           env.upper.data(), m, eps_sq,
-                                           cb.data());
-            if (lb > eps_sq) {
+            const double lb_eq =
+                ker.lb_keogh(s, env.lower.data(), env.upper.data(), m, mu,
+                             inv, lb_eps_sq, cb_eq.data(), sh);
+            if (lb_eq > lb_eps_sq) {
               if (stats != nullptr) ++stats->lb_pruned;
               continue;
             }
-            SuffixCumulate(cb, cum);
+            if (!block_env_ready) {
+              BuildEnvelope(std::span<const double>(blk, span_len),
+                            params.rho, blk_lower.Resize(span_len),
+                            blk_upper.Resize(span_len), env_queues);
+              block_env_ready = true;
+            }
+            const double* c_lower = blk_lower.data() + k;
+            const double* c_upper = blk_upper.data() + k;
+            if (normalized) {
+              // (x - µ)·inv is monotone, so the mapped bounds stay an
+              // envelope of the normalized candidate.
+              double* lo = c_lower_hat.Resize(m);
+              double* up = c_upper_hat.Resize(m);
+              ker.znormalize(c_lower, m, mean, inv, lo);
+              ker.znormalize(c_upper, m, mean, inv, up);
+              c_lower = lo;
+              c_upper = up;
+            }
+            const double lb_ec =
+                ker.lb_keogh(q_cmp.data(), c_lower, c_upper, m, 0.0, 1.0,
+                             lb_eps_sq, cb_ec.data(), nullptr);
+            if (lb_ec > lb_eps_sq) {
+              if (stats != nullptr) ++stats->lb_pruned;
+              continue;
+            }
+            // The tighter bound's whole cb array feeds the DP's tail (an
+            // elementwise max of the two arrays is not a bound).
+            SuffixCumulate(lb_ec > lb_eq ? cb_ec : cb_eq, cum);
             cum_lb = cum;
+          } else if (normalized) {
+            ker.znormalize(s, m, mean, inv, sh);
           }
+          const std::span<const double> s_span(normalized ? sh : s, m);
           const double d = DtwDistance(s_span, q_cmp, params.rho,
                                        params.epsilon, cum_lb, ctx.cancel);
           if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {

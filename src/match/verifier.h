@@ -9,6 +9,28 @@
 // over the block with early abandoning intact. Distance loops go through
 // the runtime-dispatched kernel table in distance/simd/ (AVX2 when the CPU
 // has it, scalar otherwise or under KVMATCH_FORCE_SCALAR).
+//
+// The DTW cascade is UCR Suite's (Rakthanmanon et al., KDD 2012), cheapest
+// first, and a cNSM candidate is normalized only as far as it survives:
+//   1. α/β constraints on the window's mean and std (cNSM only);
+//   2. LB_Kim on the four end points, normalized on the fly;
+//   3. LB_Keogh_EQ: the candidate against the query's envelope, normalizing
+//      each point as the kernel visits it and abandoning at checkpoints;
+//   4. LB_Keogh_EC: the query against the candidate's envelope;
+//   5. the banded DP, fed the suffix sums of the larger of the EQ and EC
+//      contribution arrays as its abandoning tail.
+// The EC envelope is taken once per gathered block, by one streaming
+// min/max pass over all count + m - 1 points, the first time a candidate
+// of the block reaches step 4. It is admissible: candidate k's own
+// envelope at point i is the min/max over the window of k + i clamped to
+// the candidate, while the block envelope clamps the same window only to
+// the block, so it ranges over a superset of points and is no tighter
+// (looser only within ρ of the candidate's edges). For cNSM each bound is
+// mapped through the candidate's (x - µ)·inv_σ; that map is monotone, so
+// the mapped min/max is the min/max of the normalized points. Every prune
+// compares against SquaredThreshold(ε) widened for rounding
+// (WidenForRounding in distance/dtw.h), so the cascade returns exactly the
+// bare DP's matches.
 #ifndef KVMATCH_MATCH_VERIFIER_H_
 #define KVMATCH_MATCH_VERIFIER_H_
 
@@ -29,7 +51,7 @@ namespace kvmatch {
 /// ablation benchmarks).
 struct VerifyOptions {
   bool use_lb_kim = true;    // DTW only
-  bool use_lb_keogh = true;  // DTW only
+  bool use_lb_keogh = true;  // DTW only: LB_Keogh_EQ and LB_Keogh_EC
   bool use_reordered_ed = true;
 
   /// Kernel-table override for tests and ablations; null (the default)

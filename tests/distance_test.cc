@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <span>
 #include <string>
@@ -69,7 +70,7 @@ std::string TierAndLength(const simd::Kernels& ker, size_t n) {
 double KernelKeogh(const simd::Kernels& ker, const std::vector<double>& s,
                    const Envelope& env, double* cb = nullptr) {
   return ker.lb_keogh(s.data(), env.lower.data(), env.upper.data(), s.size(),
-                      kInf, cb);
+                      0.0, 1.0, kInf, cb, nullptr);
 }
 
 TEST(EdTest, KnownValue) {
@@ -264,7 +265,7 @@ double ReferenceBandedDtw(std::span<const double> a,
   const size_t m = a.size();
   if (m == 0) return 0.0;
   const double inf = std::numeric_limits<double>::infinity();
-  const double thr_sq = threshold < inf ? threshold * threshold : inf;
+  const double thr_sq = SquaredThreshold(threshold);
 
   // Row-by-row DP over the band; prev/curr hold squared costs.
   std::vector<double> prev(m, inf), curr(m, inf);
@@ -290,15 +291,18 @@ double ReferenceBandedDtw(std::span<const double> a,
       curr[j] = best + cost;
       row_min = std::min(row_min, curr[j]);
     }
-    // Early abandoning: the final cost can only grow along any path; add
-    // the cumulative lower bound of the remaining tail when available.
+    // Early abandoning: the final cost can only grow along any path, so
+    // the row minimum is compared exactly; with the cumulative lower bound
+    // of the remaining tail the test allows for rounding.
     if (thr_sq < inf) {
-      double tail = 0.0;
+      if (row_min > thr_sq) return inf;
       if (!cum_lb.empty()) {
         const size_t next = std::min(m, i + rho + 1);
-        if (next < cum_lb.size()) tail = cum_lb[next];
+        if (next < cum_lb.size() &&
+            row_min + cum_lb[next] > WidenForRounding(thr_sq, m)) {
+          return inf;
+        }
       }
-      if (row_min + tail > thr_sq) return inf;
     }
     std::swap(prev, curr);
     std::fill(curr.begin(), curr.end(), inf);
@@ -346,9 +350,40 @@ TEST(DtwTest, BandedDpBitIdenticalToFullRowReference) {
           }
         }
         EXPECT_EQ(DtwDistance(a, b, rho), exact);
+        // A threshold equal to the distance keeps it, at every row.
+        EXPECT_EQ(DtwDistance(a, b, rho, exact), exact);
+        // The tail only speeds abandoning up: at thresholds on the match
+        // boundary the verdict is the one the DP reaches without it, even
+        // at ρ = 0 where the LB_Keogh tail is exact in real arithmetic and
+        // its reverse-order sum can round above the DP's forward sum.
+        for (double thr : {exact, std::nextafter(exact, kInf),
+                           std::nextafter(exact, 0.0)}) {
+          EXPECT_EQ(DtwDistance(a, b, rho, thr, cum),
+                    DtwDistance(a, b, rho, thr))
+              << "m=" << m << " rho=" << rho << " thr=" << thr;
+        }
       }
     }
   }
+}
+
+TEST(DtwTest, SquaredThresholdIsTheLargestSquareWithinThreshold) {
+  Rng rng(44);
+  int above_plain_square = 0;
+  for (int t = 0; t < 2000; ++t) {
+    const double thr = std::sqrt(rng.Uniform(0, 1000));
+    const double c = SquaredThreshold(thr);
+    ASSERT_LE(std::sqrt(c), thr) << "thr=" << thr;
+    ASSERT_GT(std::sqrt(std::nextafter(c, kInf)), thr) << "thr=" << thr;
+    ASSERT_GE(c, thr * thr);
+    if (c > thr * thr) ++above_plain_square;
+  }
+  // thr² alone is often short, or the helper would not be needed.
+  EXPECT_GT(above_plain_square, 0);
+  EXPECT_EQ(SquaredThreshold(0.0), 0.0);
+  EXPECT_EQ(SquaredThreshold(kInf), kInf);
+  EXPECT_EQ(SquaredThreshold(std::numeric_limits<double>::quiet_NaN()), kInf);
+  EXPECT_EQ(SquaredThreshold(-1.0), -kInf);
 }
 
 TEST(DtwTest, BandedDpBitIdenticalOnNonFiniteInput) {
@@ -396,6 +431,76 @@ TEST(EnvelopeTest, MatchesNaiveMinMax) {
   }
 }
 
+/// The envelope routine as it was before the flat-array queues: Lemire's
+/// streaming min/max on std::deque, kept as a second reference.
+Envelope DequeEnvelope(const std::vector<double>& q, size_t rho) {
+  const size_t m = q.size();
+  Envelope env;
+  env.lower.resize(m);
+  env.upper.resize(m);
+  std::deque<size_t> max_dq, min_dq;
+  size_t right = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const size_t win_hi = std::min(m - 1, i + rho);
+    while (right <= win_hi) {
+      while (!max_dq.empty() && q[max_dq.back()] <= q[right]) {
+        max_dq.pop_back();
+      }
+      max_dq.push_back(right);
+      while (!min_dq.empty() && q[min_dq.back()] >= q[right]) {
+        min_dq.pop_back();
+      }
+      min_dq.push_back(right);
+      ++right;
+    }
+    const size_t win_lo = i > rho ? i - rho : 0;
+    while (max_dq.front() < win_lo) max_dq.pop_front();
+    while (min_dq.front() < win_lo) min_dq.pop_front();
+    env.upper[i] = q[max_dq.front()];
+    env.lower[i] = q[min_dq.front()];
+  }
+  return env;
+}
+
+TEST(EnvelopeTest, FlatQueuesMatchDequeAndNaive) {
+  Rng rng(13);
+  // One scratch across every call: reuse must not leak state between
+  // envelopes of different lengths.
+  std::vector<size_t> queues;
+  for (size_t m : {1u, 2u, 7u, 256u}) {
+    for (size_t rho : {size_t{0}, size_t{1}, m - 1, m + 3}) {
+      // Random values, then plateau-heavy values drawn from three levels
+      // so that runs of equal values straddle window edges.
+      for (int plateaus = 0; plateaus < 2; ++plateaus) {
+        std::vector<double> x = RandomSeries(m, &rng);
+        if (plateaus == 1) {
+          for (auto& v : x) v = static_cast<double>(rng.UniformInt(0, 2));
+        }
+        SCOPED_TRACE("m=" + std::to_string(m) + " rho=" +
+                     std::to_string(rho) + " plateaus=" +
+                     std::to_string(plateaus));
+        std::vector<double> lower(m, kInf), upper(m, -kInf);
+        BuildEnvelope(x, rho, lower.data(), upper.data(), queues);
+        const Envelope ref = DequeEnvelope(x, rho);
+        EXPECT_EQ(lower, ref.lower);
+        EXPECT_EQ(upper, ref.upper);
+        EXPECT_EQ(BuildEnvelope(x, rho).lower, ref.lower);
+        for (size_t i = 0; i < m; ++i) {
+          const size_t lo = i > rho ? i - rho : 0;
+          const size_t hi = std::min(m - 1, i + rho);
+          double mn = kInf, mx = -kInf;
+          for (size_t k = lo; k <= hi; ++k) {
+            mn = std::min(mn, x[k]);
+            mx = std::max(mx, x[k]);
+          }
+          ASSERT_EQ(lower[i], mn) << "i=" << i;
+          ASSERT_EQ(upper[i], mx) << "i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(EnvelopeTest, RhoZeroIsIdentity) {
   Rng rng(11);
   const auto q = RandomSeries(50, &rng);
@@ -427,7 +532,7 @@ TEST_P(LowerBoundProperty, BoundsSandwichDtw) {
     const double dtw = DtwDistance(s, q, rho);
     const double dtw_sq = dtw * dtw;
 
-    EXPECT_LE(LbKimSquared(s, q), dtw_sq + 1e-9);
+    EXPECT_LE(LbKimSquared(s.data(), 0.0, 1.0, q), dtw_sq + 1e-9);
 
     const double explicit_keogh = ExplicitKeogh(s, env);
     EXPECT_LE(explicit_keogh, dtw_sq + 1e-9);
@@ -490,10 +595,58 @@ TEST(LowerBoundTest, KeoghZeroInsideEnvelope) {
   }
 }
 
+TEST(LowerBoundTest, KeoghNormalizesInsideTheKernel) {
+  // The kernel's in-loop normalization writes the same doubles as the
+  // znormalize kernel and returns the same bound as a kernel call on the
+  // pre-normalized window, bit for bit, on every tier.
+  Rng rng(16);
+  for (size_t n : {5u, 64u, 203u}) {
+    const auto s = RandomSeries(n, &rng);
+    const auto q = ZNormalize(RandomSeries(n, &rng));
+    const Envelope env = BuildEnvelope(q, 4);
+    const MeanStd ms = ComputeMeanStd(s);
+    const double inv = 1.0 / ms.std;
+    for (const simd::Kernels* ker : KernelTiers()) {
+      SCOPED_TRACE(TierAndLength(*ker, n));
+      std::vector<double> pre(n), lazy(n), cb_pre(n), cb_lazy(n);
+      ker->znormalize(s.data(), n, ms.mean, inv, pre.data());
+      const double want = KernelKeogh(*ker, pre, env, cb_pre.data());
+      const double got =
+          ker->lb_keogh(s.data(), env.lower.data(), env.upper.data(), n,
+                        ms.mean, inv, kInf, cb_lazy.data(), lazy.data());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(lazy, pre);
+      EXPECT_EQ(cb_lazy, cb_pre);
+    }
+  }
+}
+
+TEST(LowerBoundTest, LbKimNormalizesEndPointsOnTheFly) {
+  Rng rng(17);
+  for (size_t m : {1u, 2u, 3u, 4u, 5u, 64u}) {
+    for (int t = 0; t < 20; ++t) {
+      const auto s = RandomSeries(m, &rng);
+      const auto q = RandomSeries(m, &rng);
+      const double mean = rng.Uniform(-1, 1), inv = rng.Uniform(0, 2);
+      std::vector<double> s_hat(m);
+      simd::ScalarKernels().znormalize(s.data(), m, mean, inv, s_hat.data());
+      EXPECT_EQ(LbKimSquared(s.data(), mean, inv, q),
+                LbKimSquared(s_hat.data(), 0.0, 1.0, q))
+          << "m=" << m;
+      // Short queries take the end-point-only branch; it must still be a
+      // bound, including m = 1 where both end points are one cell.
+      const double dtw = DtwDistance(s_hat, q, 1);
+      EXPECT_LE(LbKimSquared(s_hat.data(), 0.0, 1.0, q),
+                dtw * dtw * (1 + 1e-12))
+          << "m=" << m;
+    }
+  }
+}
+
 TEST(LowerBoundTest, LbKimUsesEndpoints) {
   std::vector<double> s = {5.0, 0, 0, 0, 0, 0, 0, 3.0};
   std::vector<double> q(8, 0.0);
-  EXPECT_GE(LbKimSquared(s, q), 25.0 + 9.0 - 1e-9);
+  EXPECT_GE(LbKimSquared(s.data(), 0.0, 1.0, q), 25.0 + 9.0 - 1e-9);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -190,24 +191,36 @@ TEST(SimdParityTest, LbKeoghWithAndWithoutCb) {
     const auto s = RandomSeries(n, &rng);
     const auto q = RandomSeries(n, &rng);
     const Envelope env = BuildEnvelope(q, n / 10);
-    std::vector<double> cb_s(n, -1.0), cb_v(n, -1.0);
-    const double ls = Scalar().lb_keogh(s.data(), env.lower.data(),
-                                        env.upper.data(), n, kInf,
-                                        cb_s.data());
-    const double lv = Avx2()->lb_keogh(s.data(), env.lower.data(),
-                                       env.upper.data(), n, kInf,
-                                       cb_v.data());
-    EXPECT_TRUE(BitEq(ls, lv)) << "n=" << n;
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(BitEq(cb_s[i], cb_v[i])) << "n=" << n << " i=" << i;
-    }
-    // Abandoning form (cb == nullptr) at a mid-range threshold.
-    for (double thr : {kInf, ls, ls * 0.25}) {
-      EXPECT_TRUE(BitEq(Scalar().lb_keogh(s.data(), env.lower.data(),
-                                          env.upper.data(), n, thr, nullptr),
-                        Avx2()->lb_keogh(s.data(), env.lower.data(),
-                                         env.upper.data(), n, thr, nullptr)))
-          << "n=" << n << " thr=" << thr;
+    const double total = Scalar().lb_keogh(s.data(), env.lower.data(),
+                                           env.upper.data(), n, 0.0, 1.0,
+                                           kInf, nullptr, nullptr);
+    // The kernel abandons at checkpoints whether or not cb / s_norm are
+    // requested: the value must agree bit for bit, and so must every
+    // output entry written before the abandoning checkpoint. Entries past
+    // it keep their sentinel in both tiers, so whole arrays compare.
+    for (double thr : {kInf, total, total * 0.5, total * 0.1}) {
+      for (const auto& [mean, inv] :
+           {std::pair{0.0, 1.0}, std::pair{0.3, 0.8}, std::pair{1.5, 0.0}}) {
+        std::vector<double> cb_s(n, -1.0), cb_v(n, -1.0);
+        std::vector<double> x_s(n, -1.0), x_v(n, -1.0);
+        const double ls = Scalar().lb_keogh(s.data(), env.lower.data(),
+                                            env.upper.data(), n, mean, inv,
+                                            thr, cb_s.data(), x_s.data());
+        const double lv = Avx2()->lb_keogh(s.data(), env.lower.data(),
+                                           env.upper.data(), n, mean, inv,
+                                           thr, cb_v.data(), x_v.data());
+        EXPECT_TRUE(BitEq(ls, lv)) << "n=" << n << " thr=" << thr;
+        EXPECT_TRUE(BitEq(ls, Avx2()->lb_keogh(s.data(), env.lower.data(),
+                                               env.upper.data(), n, mean,
+                                               inv, thr, nullptr, nullptr)))
+            << "n=" << n << " thr=" << thr;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(BitEq(cb_s[i], cb_v[i]))
+              << "n=" << n << " thr=" << thr << " i=" << i;
+          ASSERT_TRUE(BitEq(x_s[i], x_v[i]))
+              << "n=" << n << " thr=" << thr << " i=" << i;
+        }
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification pipeline: Release build + the whole ctest suite (run
 # twice — once with native SIMD dispatch, once with KVMATCH_FORCE_SCALAR=1
-# to exercise the portable kernel tier), then a ThreadSanitizer build of
+# to exercise the portable kernel tier), the verifier cascade ablation as
+# an exactness check on both tiers, then a ThreadSanitizer build of
 # the concurrent service/network/ingest/executor tests (including the
 # racing-cancel suite) and an ASan+UBSan build of the
 # storage/service/net/ingest/executor tests plus the crash-point-replay
@@ -25,6 +26,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo
 echo "=== Forced-scalar dispatch: full ctest with KVMATCH_FORCE_SCALAR=1 ==="
 KVMATCH_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo
+echo "=== Lower-bound cascade ablation: every configuration, same matches ==="
+# Exits non-zero if toggling LB_Kim / LB_Keogh changes any returned
+# offset or distance bit; run on both dispatch tiers.
+./build/bench_ablation_verifier --quick
+KVMATCH_FORCE_SCALAR=1 ./build/bench_ablation_verifier --quick
 
 echo
 echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log tests ==="
