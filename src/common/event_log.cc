@@ -70,6 +70,9 @@ std::string RenderLine(const Event& event, uint64_t seq, uint64_t ts_ms) {
   for (const auto& [name, value] : event.str) {
     out += ",\"" + name + "\":\"" + JsonEscape(value) + "\"";
   }
+  for (const auto& [name, value] : event.json) {
+    out += ",\"" + name + "\":" + value;
+  }
   out += "}";
   return out;
 }

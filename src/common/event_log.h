@@ -39,17 +39,19 @@ namespace kvmatch {
 /// Defined here; also declared in service/trace.h for the trace exporters.
 std::string JsonEscape(const std::string& s);
 
-/// One discrete storage/ingest happening. `type` keys the counters and
-/// the rendered "event" field; `series` (optional) names the affected
-/// series; numeric and string fields are appended verbatim as JSON
-/// members, in insertion order. Field names must be JSON-identifier-safe
-/// ([A-Za-z0-9_]); values are escaped.
+/// One discrete happening. `type` keys the counters and the rendered
+/// "event" field; `series` (optional) names the affected series; numeric,
+/// string and pre-rendered JSON fields follow as JSON members (numbers,
+/// then strings, then JSON, each kind in insertion order). Field names
+/// must be JSON-identifier-safe ([A-Za-z0-9_]); string values are
+/// escaped, JSON values are appended verbatim and must be valid JSON.
 struct Event {
   std::string type;
   std::string series;
-  std::vector<std::pair<std::string, uint64_t>> num;
-  std::vector<std::pair<std::string, double>> fnum;
-  std::vector<std::pair<std::string, std::string>> str;
+  std::vector<std::pair<std::string, uint64_t>> num = {};
+  std::vector<std::pair<std::string, double>> fnum = {};
+  std::vector<std::pair<std::string, std::string>> str = {};
+  std::vector<std::pair<std::string, std::string>> json = {};
 
   Event& Num(std::string name, uint64_t value) {
     num.emplace_back(std::move(name), value);
@@ -61,6 +63,10 @@ struct Event {
   }
   Event& Str(std::string name, std::string value) {
     str.emplace_back(std::move(name), std::move(value));
+    return *this;
+  }
+  Event& Json(std::string name, std::string rendered) {
+    json.emplace_back(std::move(name), std::move(rendered));
     return *this;
   }
 };
@@ -76,6 +82,9 @@ inline constexpr const char kEventOrphanSweep[] = "orphan_sweep";
 inline constexpr const char kEventEviction[] = "eviction";
 inline constexpr const char kEventCompaction[] = "compaction";
 inline constexpr const char kEventSeriesDrop[] = "series_drop";
+/// A served query at or past the server's slow-query threshold, with its
+/// trace's span array.
+inline constexpr const char kEventSlowQuery[] = "slow_query";
 
 class EventLog {
  public:

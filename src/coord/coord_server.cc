@@ -1,36 +1,27 @@
 #include "coord/coord_server.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
 namespace kvmatch {
 namespace coord {
 
-net::Server::Options CoordServer::WithCoordinatorIdentity(
-    net::Server::Options options, const ShardMap& map) {
-  options.shard_id = net::kCoordinatorShardId;
-  options.num_shards = static_cast<uint32_t>(map.num_shards());
-  options.shard_map_fingerprint = map.Fingerprint();
-  return options;
-}
+FederationHandler::FederationHandler(ShardMap map,
+                                     const Coordinator::Options& options,
+                                     size_t num_threads, size_t max_queue)
+    : coord_(std::move(map), options),
+      pool_(std::max<size_t>(1, num_threads), max_queue) {}
 
 CoordServer::CoordServer(ShardMap map, CoordOptions options)
-    : internal::CoordServerState(),
-      net::Server(&this->stats, WithCoordinatorIdentity(
-                                    std::move(options.server), map)),
-      coord_(std::move(map), options.coord),
-      pool_(std::max<size_t>(1, options.num_threads), options.max_queue) {}
+    : handler_(std::move(map), options.coord, options.num_threads,
+               options.max_queue),
+      transport_(std::move(options.server), &handler_,
+                 handler_.stats_registry()) {}
 
-CoordServer::~CoordServer() {
-  // Stop() here, not in the base destructor: the drain completes every
-  // federated task, and those tasks use coord_/pool_, which die with
-  // this subclass.
-  Stop();
-}
-
-std::string CoordServer::StatsText() const {
-  std::string out = StatsToText(stats.Snapshot());
+std::string FederationHandler::StatsText(const net::Transport&) const {
+  std::string out = StatsToText(stats_.Snapshot());
   for (uint32_t s = 0; s < coord_.map().num_shards(); ++s) {
     out += "kvmatch_coord_shard_connected{shard=\"" + std::to_string(s) +
            "\"} " + (coord_.shard(s)->connected() ? "1" : "0") + "\n";
@@ -38,146 +29,129 @@ std::string CoordServer::StatsText() const {
   return out;
 }
 
-void CoordServer::HandleQuery(
-    const std::shared_ptr<Connection>& conn, uint64_t id,
+void FederationHandler::HandleShardInfo(net::Transport& transport,
+                                        const net::ConnectionPtr& conn,
+                                        uint64_t id) {
+  net::ShardInfo info;
+  info.shard_id = net::kCoordinatorShardId;
+  info.num_shards = static_cast<uint32_t>(coord_.map().num_shards());
+  info.map_fingerprint = coord_.map().Fingerprint();
+  std::string body;
+  net::EncodeShardInfoBody(info, &body);
+  transport.Send(conn, net::FrameType::kShardInfoResponse, id,
+                 std::move(body));
+}
+
+void FederationHandler::HandleQuery(
+    net::Transport& transport, const net::ConnectionPtr& conn, uint64_t id,
     std::string_view body, std::chrono::steady_clock::time_point received) {
   net::WireQueryRequest wire_request;
   if (Status st = net::DecodeQueryRequestBody(body, &wire_request);
       !st.ok()) {
-    registry()->RecordProtocolError();
-    SendError(conn, id, st);
+    transport.SendProtocolError(conn, id, st);
     return;
   }
-  // Same booking discipline as the base server: token registered before
-  // any work, so a kCancel can never race ahead of its target — and the
-  // token is what QueryBatch polls to fan kCancel to every shard.
-  auto token = std::make_shared<CancelToken>();
-  if (!RegisterRequest(conn, id, token)) {
-    registry()->RecordProtocolError();
-    SendError(conn, id,
-              Status::InvalidArgument("request id " + std::to_string(id) +
-                                      " is already in flight"));
-    return;
-  }
-  auto task = [this, conn, id, token, received,
+  // Booked before any work, so a kCancel can never race ahead of its
+  // target — and the token is what QueryBatch polls to fan kCancel to
+  // every shard.
+  auto token = transport.BeginRequest(conn, id);
+  if (token == nullptr) return;
+  auto task = [this, &transport, conn, id, token, received,
                wire_request = std::move(wire_request)]() mutable {
-    registry()->RecordQueryStarted();
+    stats_.RecordQueryStarted();
     // Re-anchor the deadline budget at this hop: queue wait in the
     // federation pool plus wire time is charged, never granted twice.
     wire_request.request.timeout_ms = net::RemainingBudgetMs(
         wire_request.request.timeout_ms, received);
     const std::string series = wire_request.request.series;
     std::vector<std::string> wires;
-    if (IsGlobPattern(series)) {
-      if (wire_request.by_reference) {
-        net::Frame frame;
-        frame.type = net::FrameType::kError;
-        frame.request_id = id;
-        net::EncodeErrorBody(
-            Status::InvalidArgument(
-                "pattern queries require literal query values"),
-            &frame.body);
-        std::string wire;
-        net::EncodeFrame(frame, &wire);
-        wires.push_back(std::move(wire));
-      } else {
-        net::FederatedResponse fed =
-            coord_.ExecutePattern(wire_request, token);
-        registry()->RecordQuery(series, fed.latency_ms, fed.stats,
-                                fed.status.ok());
-        if (fed.status.IsCancelled()) registry()->RecordCancelled(series);
-        net::Frame frame;
-        frame.type = net::FrameType::kFederatedResponse;
-        frame.request_id = id;
-        net::EncodeFederatedResponseBody(fed, &frame.body);
-        std::string wire;
-        net::EncodeFrame(frame, &wire);
-        wires.push_back(std::move(wire));
-      }
+    if (IsGlobPattern(series) && wire_request.by_reference) {
+      QueryResponse rejected;
+      rejected.status = Status::InvalidArgument(
+          "pattern queries require literal query values");
+      wires = transport.EncodeResponseRun(id, std::move(rejected), false);
+    } else if (IsGlobPattern(series)) {
+      net::FederatedResponse fed = coord_.ExecutePattern(wire_request, token);
+      stats_.RecordQuery(series, fed.latency_ms, fed.stats, fed.status.ok());
+      if (fed.status.IsCancelled()) stats_.RecordCancelled(series);
+      net::Frame frame;
+      frame.type = net::FrameType::kFederatedResponse;
+      frame.request_id = id;
+      net::EncodeFederatedResponseBody(fed, &frame.body);
+      std::string wire;
+      net::EncodeFrame(frame, &wire);
+      wires.push_back(std::move(wire));
     } else {
       QueryResponse response = coord_.ExecuteExact(wire_request, token);
-      registry()->RecordQuery(series, response.latency_ms, response.stats,
-                              response.status.ok());
-      if (response.status.IsCancelled()) registry()->RecordCancelled(series);
+      stats_.RecordQuery(series, response.latency_ms, response.stats,
+                         response.status.ok());
+      if (response.status.IsCancelled()) stats_.RecordCancelled(series);
       // Shared encoder: the federated answer for an exact series is
       // byte-identical to the owner shard's own answer run.
-      wires = EncodeResponseRun(id, std::move(response),
-                                wire_request.request.collect_trace);
+      wires = transport.EncodeResponseRun(
+          id, std::move(response), wire_request.request.collect_trace);
     }
-    registry()->RecordQueryFinished();
-    CompleteRequest(conn, id, std::move(wires));
+    stats_.RecordQueryFinished();
+    transport.CompleteRequest(conn, id, std::move(wires));
   };
   if (Status st = pool_.Submit(std::move(task)); !st.ok()) {
     // Shed load with the booking retired, same contract as the service.
-    registry()->RecordRejected();
+    stats_.RecordRejected();
     QueryResponse shed;
     shed.status = st;
-    CompleteRequest(conn, id,
-                    EncodeResponseRun(id, std::move(shed), false));
+    transport.CompleteRequest(
+        conn, id, transport.EncodeResponseRun(id, std::move(shed), false));
   }
 }
 
-void CoordServer::HandleIngest(const std::shared_ptr<Connection>& conn,
-                               net::FrameType type, uint64_t id,
-                               std::string_view body) {
+void FederationHandler::HandleIngest(net::Transport& transport,
+                                     const net::ConnectionPtr& conn,
+                                     net::FrameType type, uint64_t id,
+                                     std::string_view body) {
   net::WireIngestRequest request;
   if (Status st = net::DecodeIngestRequestBody(body, &request); !st.ok()) {
-    registry()->RecordProtocolError();
-    SendError(conn, id, st);
+    transport.SendProtocolError(conn, id, st);
     return;
   }
   // The shard round trip blocks on socket I/O (bounded by the client
   // call timeout) — run it on the blocking-work thread so the reactor
   // loop keeps serving every other connection. This connection's frame
   // processing is suspended meanwhile, preserving its pipeline order.
-  RunBlocking(conn, [this, conn, type, id,
-                     request = std::move(request)]() mutable {
-    Status st;
-    net::IngestAck ack;
-    switch (type) {
-      case net::FrameType::kCreateRequest: {
-        auto result = coord_.CreateSeries(request.series, request.values);
-        st = result.status();
-        if (result.ok()) ack = *result;
-        break;
-      }
-      case net::FrameType::kAppendRequest: {
-        auto result = coord_.AppendSeries(request.series, request.values);
-        st = result.status();
-        if (result.ok()) ack = *result;
-        break;
-      }
-      default:
-        st = coord_.DropSeries(request.series);
-        break;
+  transport.RunBlocking(conn, [this, &transport, conn, type, id,
+                               request = std::move(request)]() mutable {
+    Result<net::IngestAck> ack = net::IngestAck{};
+    if (type == net::FrameType::kCreateRequest) {
+      ack = coord_.CreateSeries(request.series, request.values);
+    } else if (type == net::FrameType::kAppendRequest) {
+      ack = coord_.AppendSeries(request.series, request.values);
+    } else if (Status st = coord_.DropSeries(request.series); !st.ok()) {
+      ack = st;
     }
-    if (!st.ok()) {
-      SendError(conn, id, st);
+    if (!ack.ok()) {
+      transport.SendError(conn, id, ack.status());
       return;
     }
-    net::Frame response;
-    response.type = net::FrameType::kIngestResponse;
-    response.request_id = id;
-    net::EncodeIngestResponseBody(ack, &response.body);
-    Enqueue(conn, response);
+    std::string body;
+    net::EncodeIngestResponseBody(*ack, &body);
+    transport.Send(conn, net::FrameType::kIngestResponse, id,
+                   std::move(body));
   });
 }
 
-void CoordServer::HandleList(const std::shared_ptr<Connection>& conn,
-                             uint64_t id) {
+void FederationHandler::HandleList(net::Transport& transport,
+                                   const net::ConnectionPtr& conn,
+                                   uint64_t id) {
   // Fans out a LIST to every shard over the wire: blocking I/O, so off
   // the loop like ingest above.
-  RunBlocking(conn, [this, conn, id] {
+  transport.RunBlocking(conn, [this, &transport, conn, id] {
     auto series = coord_.ListAll();
     if (!series.ok()) {
-      SendError(conn, id, series.status());
+      transport.SendError(conn, id, series.status());
       return;
     }
-    net::Frame response;
-    response.type = net::FrameType::kListResponse;
-    response.request_id = id;
-    net::EncodeListResponseBody(*series, &response.body);
-    Enqueue(conn, response);
+    std::string body;
+    net::EncodeListResponseBody(*series, &body);
+    transport.Send(conn, net::FrameType::kListResponse, id, std::move(body));
   });
 }
 

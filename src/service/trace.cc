@@ -132,16 +132,8 @@ std::string TraceToChromeJson(const QueryTrace& trace) {
   return out;
 }
 
-std::string TraceToJsonLine(const std::string& series,
-                            const std::string& status, double latency_ms,
-                            const QueryTrace& trace) {
-  std::string out = "{\"slow_query\":true,\"series\":\"";
-  out += JsonEscape(series);
-  out += "\",\"status\":\"";
-  out += JsonEscape(status);
-  out += "\",\"latency_ms\":";
-  AppendDouble(latency_ms, &out);
-  out += ",\"spans\":[";
+std::string TraceSpansJson(const QueryTrace& trace) {
+  std::string out = "[";
   bool first = true;
   for (const TraceSpan& span : trace.spans()) {
     if (!first) out += ",";
@@ -160,7 +152,7 @@ std::string TraceToJsonLine(const std::string& series,
     AppendSpanArgsJson(span, &out);
     out += "}";
   }
-  out += "]}";
+  out += "]";
   return out;
 }
 

@@ -11,8 +11,8 @@
 // between client and server.
 //
 // Exporters: TraceToChromeJson() produces a chrome://tracing /
-// ui.perfetto.dev document; TraceToJsonLine() produces the one-line JSON
-// used by the server's slow-query log; ComputeStageBreakdown() collapses
+// ui.perfetto.dev document; TraceSpansJson() renders the span array the
+// server's slow_query events carry; ComputeStageBreakdown() collapses
 // the spans into queue/probe/verify/serialize totals for CLI display.
 #ifndef KVMATCH_SERVICE_TRACE_H_
 #define KVMATCH_SERVICE_TRACE_H_
@@ -104,13 +104,9 @@ std::string TraceToChromeJson(const QueryTrace& trace);
 void AppendChromeTraceEvents(const QueryTrace& trace, uint64_t pid,
                              std::string* out);
 
-/// One-line JSON for the slow-query log:
-/// {"slow_query":true,"series":"...","status":"...","latency_ms":...,
-///  "spans":[{"name":...,"start_ms":...,"dur_ms":...,"worker":...,
-///            "args":{...}},...]}
-std::string TraceToJsonLine(const std::string& series,
-                            const std::string& status, double latency_ms,
-                            const QueryTrace& trace);
+/// The spans as one JSON array, the `spans` member of a slow_query event:
+/// [{"name":...,"start_ms":...,"dur_ms":...,"worker":...,"args":{...}},...]
+std::string TraceSpansJson(const QueryTrace& trace);
 
 }  // namespace kvmatch
 

@@ -38,6 +38,22 @@ namespace kvmatch {
 namespace coord {
 namespace {
 
+// Teardown-time bounds are drain budget + one reactor tick. Sanitizer
+// builds run several times slower, so there the bound gets a wider
+// margin; Release keeps the tight one.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define KVMATCH_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define KVMATCH_TEST_SANITIZED 1
+#endif
+#endif
+#ifdef KVMATCH_TEST_SANITIZED
+constexpr double kTeardownSlackMs = 2000.0;
+#else
+constexpr double kTeardownSlackMs = 0.0;
+#endif
+
 // ------------------------------------------------------------- shard map
 
 TEST(ShardMapTest, ParseSerializeRoundTrip) {
@@ -760,6 +776,94 @@ TEST(CoordFederationTest, KilledShardBecomesTypedErrorWithDialBackoff) {
   Rng rng2(912);
   other.request.query = ExtractQuery(fx.refs[1], 50, 128, 0.1, &rng2);
   EXPECT_TRUE(coord.ExecuteExact(other, nullptr).status.ok());
+}
+
+/// A shard endpoint that accepts connections and never answers — not
+/// even the coordinator's identity handshake.
+class SilentShard {
+ public:
+  SilentShard() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+        0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+        0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~SilentShard() {
+    if (conn_fd_ >= 0) ::close(conn_fd_);
+    ::close(listen_fd_);
+  }
+  int port() const { return port_; }
+  /// Blocks until a client (the coordinator) has connected.
+  void Accept() {
+    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    EXPECT_GE(conn_fd_, 0);
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int conn_fd_ = -1;
+  int port_ = 0;
+};
+
+TEST(CoordFederationTest, DestructorDrainsInFlightQueryWithoutExplicitStop) {
+  // The coordinator goes out of scope, with no Stop() call, while its
+  // federated query waits on a shard that never answers. Its transport
+  // (declared after the federation handler) must drain that task — which
+  // uses the coordinator, its pool and its registry — before any of them
+  // is destroyed, and flush the typed error. The silent shard's wait is
+  // bounded by the shard call timeout, here the drain budget, so the
+  // teardown completes within the drain budget plus one reactor tick.
+  constexpr double kDrainMs = 300.0;
+  constexpr double kTickMs = 50.0;
+  SilentShard shard;
+  auto map =
+      ShardMap::FromEndpoints({ShardEndpoint{"127.0.0.1", shard.port()}});
+  ASSERT_TRUE(map.ok());
+  CoordServer::CoordOptions options;
+  options.server.port = 0;
+  options.server.drain_timeout_ms = kDrainMs;
+  options.coord.verify_shard_identity = false;
+  options.coord.client.call_timeout_ms = kDrainMs;
+
+  QueryRequest req;
+  req.series = "silent";
+  req.query.assign(64, 0.0);
+  req.params.type = QueryType::kRsmEd;
+  req.params.epsilon = 1.0;
+  std::unique_ptr<net::Client> client;
+  uint64_t id = 0;
+  std::chrono::steady_clock::time_point t0;
+  {
+    CoordServer coordinator(*map, options);
+    ASSERT_TRUE(coordinator.Start().ok());
+    auto connected = net::Client::Connect("127.0.0.1", coordinator.port());
+    ASSERT_TRUE(connected.ok());
+    client = std::move(*connected);
+    auto sent = client->SendRequest(req);
+    ASSERT_TRUE(sent.ok());
+    id = *sent;
+    shard.Accept();  // the coordinator dialed: the query waits on the shard
+    t0 = std::chrono::steady_clock::now();
+  }
+  const double teardown_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+  EXPECT_LT(teardown_ms, kDrainMs + kTickMs + kTeardownSlackMs)
+      << teardown_ms;
+  auto response = client->WaitResponse(id);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->status.ok());
 }
 
 TEST(ShardClientTest, RefusesShardWithWrongIdentity) {

@@ -55,6 +55,20 @@ TEST(EventLogTest, EscapesStringFields) {
   EXPECT_NE(lines[0].find("\"note\":\"tab\\there\""), std::string::npos);
 }
 
+TEST(EventLogTest, JsonMembersAreAppendedVerbatimAfterStrings) {
+  EventLog log;
+  log.Emit(Event{kEventSlowQuery, "s0"}
+               .Json("spans", "[{\"name\":\"probe\"}]")
+               .Str("status", "ok"));
+  const auto lines = log.RingLines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"event\":\"slow_query\",\"series\":\"s0\","
+                          "\"status\":\"ok\","
+                          "\"spans\":[{\"name\":\"probe\"}]}"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST(EventLogTest, RingKeepsTheNewestLinesOldestFirst) {
   EventLog log(/*ring_capacity=*/4);
   for (int i = 0; i < 10; ++i) {

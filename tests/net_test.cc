@@ -10,9 +10,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <regex>
 #include <span>
 #include <string>
 #include <thread>
@@ -20,10 +24,12 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/event_log.h"
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "net/transport.h"
 #include "service/catalog.h"
 #include "service/query_service.h"
 #include "storage/mem_kvstore.h"
@@ -32,6 +38,22 @@
 namespace kvmatch {
 namespace net {
 namespace {
+
+// Teardown-time bounds are drain budget + one reactor tick. Sanitizer
+// builds run several times slower, so there the bound gets a wider
+// margin; Release keeps the tight one.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define KVMATCH_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define KVMATCH_TEST_SANITIZED 1
+#endif
+#endif
+#ifdef KVMATCH_TEST_SANITIZED
+constexpr double kTeardownSlackMs = 2000.0;
+#else
+constexpr double kTeardownSlackMs = 0.0;
+#endif
 
 // ---------------------------------------------------------------- protocol
 
@@ -1045,6 +1067,132 @@ TEST(NetServerTest, RemoteIngestRunsWhileAnotherConnectionQueries) {
   EXPECT_EQ(reader_failure, "");
 }
 
+// ------------------------------------------- transport without a catalog
+
+/// A RequestHandler with no Catalog or QueryService behind it: a query's
+/// body comes straight back as its response body, and LIST holds its
+/// reply on the blocking-work thread until the test opens a latch.
+class EchoHandler : public RequestHandler {
+ public:
+  void HandleQuery(Transport& transport, const ConnectionPtr& conn,
+                   uint64_t id, std::string_view body,
+                   std::chrono::steady_clock::time_point) override {
+    ASSERT_NE(transport.BeginRequest(conn, id), nullptr);
+    Frame echo;
+    echo.type = FrameType::kQueryResponse;
+    echo.request_id = id;
+    echo.body = std::string(body);
+    std::string wire;
+    EncodeFrame(echo, &wire);
+    std::vector<std::string> wires;
+    wires.push_back(std::move(wire));
+    transport.CompleteRequest(conn, id, std::move(wires));
+  }
+  void HandleIngest(Transport& transport, const ConnectionPtr& conn,
+                    FrameType, uint64_t id, std::string_view) override {
+    transport.SendError(conn, id, Status::NotSupported("echo handler"));
+  }
+  void HandleList(Transport& transport, const ConnectionPtr& conn,
+                  uint64_t id) override {
+    transport.RunBlocking(conn, [this, &transport, conn, id] {
+      std::unique_lock<std::mutex> lock(mu_);
+      list_held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return latch_open_; });
+      std::string body;
+      EncodeListResponseBody({}, &body);
+      transport.Send(conn, FrameType::kListResponse, id, std::move(body));
+    });
+  }
+  void HandleShardInfo(Transport& transport, const ConnectionPtr& conn,
+                       uint64_t id) override {
+    transport.SendError(conn, id, Status::NotSupported("echo handler"));
+  }
+  std::string StatsText(const Transport& transport) const override {
+    return "echo_handler_up 1\n" + transport.ConnectionStatsText();
+  }
+
+  void WaitUntilListHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return list_held_; });
+  }
+  void OpenLatch() {
+    std::lock_guard<std::mutex> lock(mu_);
+    latch_open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool list_held_ = false;
+  bool latch_open_ = false;
+};
+
+void SendFrame(RawConnection* raw, FrameType type, uint64_t id,
+               std::string body = "") {
+  Frame frame;
+  frame.type = type;
+  frame.request_id = id;
+  frame.body = std::move(body);
+  std::string wire;
+  EncodeFrame(frame, &wire);
+  raw->Send(wire);
+}
+
+TEST(TransportTest, ServesAFakeHandlerWithoutCatalogOrService) {
+  EchoHandler handler;
+  StatsRegistry registry;
+  Transport transport(Transport::Options{}, &handler, &registry);
+  ASSERT_TRUE(transport.Start().ok());
+  RawConnection raw(transport.port());
+  Frame frame;
+
+  // Request frames reach the handler; its reply is what comes back.
+  SendFrame(&raw, FrameType::kQueryRequest, 1, "echo me");
+  ASSERT_TRUE(raw.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kQueryResponse);
+  EXPECT_EQ(frame.request_id, 1u);
+  EXPECT_EQ(frame.body, "echo me");
+
+  // PING is the transport's own; STATS carries the handler's text.
+  SendFrame(&raw, FrameType::kPing, 2);
+  ASSERT_TRUE(raw.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kPong);
+  SendFrame(&raw, FrameType::kStatsRequest, 3);
+  ASSERT_TRUE(raw.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kStatsResponse);
+  EXPECT_EQ(frame.body.find("echo_handler_up 1\n"), 0u) << frame.body;
+  EXPECT_NE(frame.body.find("kvmatch_connection_requests_total{conn=\"1\"} 1"),
+            std::string::npos)
+      << frame.body;
+
+  // RunBlocking: LIST holds this connection's frames behind it, so the
+  // PING pipelined after it must wait — while every other connection,
+  // plain HTTP included, keeps being served.
+  SendFrame(&raw, FrameType::kListRequest, 4);
+  SendFrame(&raw, FrameType::kPing, 5);
+  handler.WaitUntilListHeld();
+  RawConnection other(transport.port());
+  SendFrame(&other, FrameType::kPing, 6);
+  ASSERT_TRUE(other.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kPong);
+  EXPECT_EQ(frame.request_id, 6u);
+  const std::string metrics = RawHttpExchange(
+      transport.port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("echo_handler_up 1\n"), std::string::npos);
+
+  handler.OpenLatch();
+  ASSERT_TRUE(raw.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kListResponse);
+  EXPECT_EQ(frame.request_id, 4u);
+  ASSERT_TRUE(raw.ReadFrame(&frame));
+  EXPECT_EQ(frame.type, FrameType::kPong);
+  EXPECT_EQ(frame.request_id, 5u);
+  transport.Stop();
+}
+
 TEST(NetServerTest, CorruptFrameYieldsErrorAndConnectionSurvives) {
   ServerFixture fx;
   RawConnection raw(fx.server->port());
@@ -1103,6 +1251,32 @@ TEST(NetServerTest, MalformedQueryBodyYieldsErrorAndConnectionSurvives) {
   raw.Send(wire);
   ASSERT_TRUE(raw.ReadFrame(&frame));
   EXPECT_EQ(frame.type, FrameType::kPong);
+}
+
+TEST(NetServerTest, ResponseFramesSentToServerCountAsProtocolErrors) {
+  // A response-type frame is as much a client protocol violation as a
+  // corrupt or undecodable one: answered with a typed error AND counted.
+  ServerFixture fx;
+  RawConnection raw(fx.server->port());
+  const uint64_t before = fx.service->Stats().protocol_errors;
+  uint64_t id = 30;
+  for (const FrameType type : {FrameType::kPong, FrameType::kQueryResponse}) {
+    Frame bogus;
+    bogus.type = type;
+    bogus.request_id = ++id;
+    std::string wire;
+    EncodeFrame(bogus, &wire);
+    raw.Send(wire);
+
+    Frame frame;
+    ASSERT_TRUE(raw.ReadFrame(&frame));
+    EXPECT_EQ(frame.type, FrameType::kError);
+    EXPECT_EQ(frame.request_id, id);
+    Status carried;
+    ASSERT_TRUE(DecodeErrorBody(frame.body, &carried).ok());
+    EXPECT_TRUE(carried.IsInvalidArgument()) << carried.ToString();
+  }
+  EXPECT_EQ(fx.service->Stats().protocol_errors, before + 2);
 }
 
 TEST(NetServerTest, OversizedFrameYieldsErrorThenClose) {
@@ -1327,6 +1501,43 @@ TEST(NetServerTest, StopCancelsStragglersAfterDrainTimeout) {
       << response->status.ToString();
 }
 
+TEST(NetServerTest, DestructorDrainsInFlightQueryWithoutExplicitStop) {
+  // The server goes out of scope while a minutes-long query runs, with
+  // no Stop() call: its transport (declared after its handler) drains
+  // first, cancels the query once the drain budget is spent, and flushes
+  // the Cancelled answer, all while the handler is still alive.
+  constexpr double kDrainMs = 200.0;
+  constexpr double kTickMs = 50.0;  // the reactor's periodic-work tick
+  ServerFixture fx(/*threads=*/2);
+  const QueryRequest heavy = IngestHeavySeries(fx.catalog.get(), 60'000);
+  std::unique_ptr<Client> client;
+  uint64_t id = 0;
+  std::chrono::steady_clock::time_point t0;
+  {
+    Server::Options nopts;
+    nopts.port = 0;
+    nopts.drain_timeout_ms = kDrainMs;
+    Server server(fx.catalog.get(), fx.service.get(), nopts);
+    ASSERT_TRUE(server.Start().ok());
+    auto connected = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(connected.ok());
+    client = std::move(*connected);
+    auto sent = client->SendRequest(heavy);
+    ASSERT_TRUE(sent.ok());
+    id = *sent;
+    ASSERT_TRUE(client->Ping().ok());  // the query frame has been read
+    t0 = std::chrono::steady_clock::now();
+  }
+  const double teardown_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+  EXPECT_LT(teardown_ms, kDrainMs + kTickMs + kTeardownSlackMs)
+      << teardown_ms;
+  auto response = client->WaitResponse(id);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->status.IsCancelled()) << response->status.ToString();
+}
+
 TEST(NetServerTest, GracefulStopDrainsPipelinedWork) {
   ServerFixture fx(/*threads=*/2);
   const auto requests = MakeWorkload(fx.refs, 8);
@@ -1473,22 +1684,32 @@ TEST(NetServerTest, WireTraceCarriesStageBreakdown) {
   EXPECT_LE(b.TotalMs(), traced->latency_ms + 0.05 * traced->latency_ms + 1.0);
 }
 
-// A loopback server whose slow-query threshold and log sink are test
-// controlled (ServerFixture hard-codes the default options).
+// A loopback server whose slow-query threshold is test controlled
+// (ServerFixture hard-codes the default options), over a catalog whose
+// EventLog sink collects the slow_query events.
 struct SlowLogFixture {
+  std::mutex mu;
+  std::vector<std::string> lines;
+
+  EventLog events;
   MemKvStore store;
   std::vector<TimeSeries> refs;
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<QueryService> service;
   std::unique_ptr<Server> server;
 
-  std::mutex mu;
-  std::vector<std::string> lines;
-
   explicit SlowLogFixture(double slow_query_ms) {
+    events.SetSink([this](const std::string& line) {
+      if (line.find("\"event\":\"slow_query\"") == std::string::npos) {
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      lines.push_back(line);
+    });
     refs = IngestFixture(&store);
     Catalog::Options copts;
     copts.session = SmallOptions();
+    copts.event_log = &events;
     catalog = std::make_unique<Catalog>(&store, copts);
     QueryService::Options sopts;
     sopts.num_threads = 2;
@@ -1496,10 +1717,6 @@ struct SlowLogFixture {
     Server::Options nopts;
     nopts.port = 0;
     nopts.slow_query_ms = slow_query_ms;
-    nopts.slow_query_log = [this](const std::string& line) {
-      std::lock_guard<std::mutex> lock(mu);
-      lines.push_back(line);
-    };
     server = std::make_unique<Server>(catalog.get(), service.get(), nopts);
     EXPECT_TRUE(server->Start().ok());
   }
@@ -1527,9 +1744,16 @@ TEST(NetServerTest, SlowQueryLogEmitsExactlyOneLinePerSlowQuery) {
   const auto lines = fx.Lines();
   ASSERT_EQ(lines.size(), requests.size());
   for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(lines[i].find("{\"slow_query\":true"), 0u) << lines[i];
+    EXPECT_NE(lines[i].find("\"event\":\"slow_query\""), std::string::npos)
+        << lines[i];
     EXPECT_NE(lines[i].find("\"series\":\"" + requests[i].series + "\""),
               std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("\"status\":\"ok\""), std::string::npos)
+        << lines[i];
+    // Milliseconds with three decimals, never exponent form.
+    EXPECT_TRUE(std::regex_search(
+        lines[i], std::regex("\"latency_ms\":[0-9]+\\.[0-9]{3},")))
         << lines[i];
     EXPECT_NE(lines[i].find("\"name\":\"probe\""), std::string::npos);
     EXPECT_EQ(lines[i].find('\n'), std::string::npos);

@@ -153,19 +153,21 @@ TEST(TraceJsonTest, AppendChromeTraceEventsSeparatesQueriesByPid) {
   EXPECT_NE(out.find("},{"), std::string::npos);
 }
 
-TEST(TraceJsonTest, JsonLineCarriesSeriesStatusLatencyAndSpans) {
+TEST(TraceJsonTest, SpansJsonIsOneArrayOfSpanObjects) {
   const auto origin = Clock::now();
   QueryTrace trace(origin);
   trace.AddSpan(kSpanQueue, origin, origin + std::chrono::milliseconds(2));
-  const std::string line =
-      TraceToJsonLine("sensor\"7\"", "ok", 123.456, trace);
-  EXPECT_EQ(line.find("{\"slow_query\":true"), 0u);
-  EXPECT_EQ(line.find('\n'), std::string::npos);  // one line, always
-  EXPECT_NE(line.find("\"series\":\"sensor\\\"7\\\"\""),
-            std::string::npos);
-  EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(line.find("\"latency_ms\":123.456"), std::string::npos);
-  EXPECT_NE(line.find("\"name\":\"queue\""), std::string::npos);
+  trace.AddSpan(kSpanProbe, origin, origin + std::chrono::milliseconds(3));
+  const std::string json = TraceSpansJson(trace);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.back(), ']');
+  EXPECT_EQ(json.find('\n'), std::string::npos);  // one line, always
+  EXPECT_EQ(json.find("[{\"name\":\"queue\",\"start_ms\":0.000,"
+                      "\"dur_ms\":2.000,"),
+            0u)
+      << json;
+  EXPECT_NE(json.find("},{\"name\":\"probe\""), std::string::npos) << json;
+  EXPECT_EQ(TraceSpansJson(QueryTrace()), "[]");
 }
 
 // -------------------------------------------- service integration

@@ -43,12 +43,12 @@
 //     Responses with more than --stream-chunk matches stream back in
 //     bounded kMatchResponsePart frames (0 disables streaming).
 //     --port 0 picks an ephemeral port (printed on stdout).
-//     --slow-query-ms > 0 logs every query at least that slow to stderr
-//     as one JSON line carrying its queue/probe/verify/serialize spans.
-//     --event-log appends every storage/commit event (epoch commits,
-//     recovery repairs, evictions, compactions) as JSONL to the given
-//     file; --dump-events prints the in-memory flight recorder (the last
-//     1024 events) on shutdown; --slow-commit-ms > 0 flags commits at
+//     --slow-query-ms > 0 records every query at least that slow as a
+//     slow_query event carrying its queue/probe/verify/serialize spans.
+//     --event-log appends every event (epoch commits, recovery repairs,
+//     evictions, compactions, slow queries) as JSONL to the given file;
+//     --dump-events prints the in-memory flight recorder (the last 1024
+//     events) to stderr on shutdown; --slow-commit-ms > 0 flags commits at
 //     least that slow. GET /metrics (plain HTTP on the same port) serves
 //     the Prometheus text dump; GET /healthz answers liveness.
 //     With --shard-map map.txt --shard-id N the server joins a cluster:
@@ -669,7 +669,7 @@ int CmdServe(const Args& args) {
 
   // Declared before the catalog so every emitter dies first. The optional
   // file sink streams each event as it happens; the in-memory ring (the
-  // flight recorder) is dumped by Stop() with --dump-events.
+  // flight recorder) goes to stderr after the drain with --dump-events.
   EventLog event_log;
   std::ofstream event_file;
   if (const std::string path = args.Get("event-log"); !path.empty()) {
@@ -708,8 +708,6 @@ int CmdServe(const Args& args) {
   nopts.drain_timeout_ms = args.GetF("drain-ms", 30'000.0);
   nopts.max_outbox_bytes = args.GetU64("max-outbox-mb", 256) << 20;
   nopts.slow_query_ms = args.GetF("slow-query-ms", 0.0);
-  nopts.event_log = &event_log;
-  nopts.dump_events_on_stop = args.Has("dump-events");
   // Cluster membership: with --shard-map and --shard-id this process
   // serves one slice of the hash space — it answers kShardInfo with its
   // identity and refuses ingest for series the map assigns elsewhere.
@@ -753,6 +751,13 @@ int CmdServe(const Args& args) {
   }
   std::printf("draining %zu connection(s)...\n", server.ActiveConnections());
   server.Stop();
+  // Flight recorder after the drain: the ring now includes everything the
+  // drain produced (final commits, evictions, slow queries).
+  if (args.Has("dump-events")) {
+    for (const auto& line : event_log.RingLines()) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+    }
+  }
   PrintServiceStats(service.Stats());
   return 0;
 }

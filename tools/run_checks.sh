@@ -38,11 +38,14 @@ echo
 echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log tests ==="
 cmake -B build-tsan -S . -DKVMATCH_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" \
-  --target service_test net_test coord_test ingest_test executor_test \
-           trace_test event_log_test storage_test simd_parity_test
+  --target service_test net_test coord_test stream_slow_test ingest_test \
+           executor_test trace_test event_log_test storage_test \
+           simd_parity_test
 ./build-tsan/service_test
 ./build-tsan/net_test
 ./build-tsan/coord_test
+# The only test of worker-thread on_partial streaming into the outbox.
+./build-tsan/stream_slow_test
 ./build-tsan/ingest_test
 ./build-tsan/executor_test
 ./build-tsan/trace_test
@@ -54,15 +57,16 @@ echo
 echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify + DTW ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
-  --target storage_test service_test net_test coord_test ingest_test \
-           executor_test trace_test event_log_test fault_kvstore_test \
-           simd_parity_test baseline_test verifier_test distance_test \
-           match_property_test
+  --target storage_test service_test net_test coord_test stream_slow_test \
+           ingest_test executor_test trace_test event_log_test \
+           fault_kvstore_test simd_parity_test baseline_test verifier_test \
+           distance_test match_property_test
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
 ./build-asan/net_test
 ./build-asan/coord_test
+./build-asan/stream_slow_test
 ./build-asan/ingest_test
 ./build-asan/executor_test
 ./build-asan/trace_test
