@@ -14,7 +14,8 @@
 // 1/2/.../N in-process shard servers behind a scatter-gather
 // coordinator, and a fixed client pool replays the identical workload
 // through it — the table shows how federated QPS scales with shard
-// count (overhead of the extra hop included).
+// count (overhead of the extra hop included). Any failed query makes the
+// bench exit non-zero.
 //
 // With --idle-connections N the bench instead measures C10k behavior:
 // N idle frame connections are parked against one server (held by forked
@@ -83,6 +84,7 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
   TablePrinter table(
       {"Shards", "Queries", "Seconds", "QPS", "Speedup", "p99 (ms)"});
   double baseline_seconds = 0.0;
+  bool any_failed = false;
   for (size_t num_shards : {1u, 2u, 4u}) {
     if (num_shards > max_shards) break;
 
@@ -190,14 +192,15 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
              baseline_seconds > 0.0 ? baseline_seconds / seconds : 0.0, 2),
          TablePrinter::Fmt(snap.latency.p99_ms, 2)});
     if (failed > 0) {
-      std::fprintf(stderr, "warning: %zu queries failed at %zu shards\n",
+      std::fprintf(stderr, "error: %zu queries failed at %zu shards\n",
                    failed, num_shards);
+      any_failed = true;
     }
     coordinator.Stop();
     for (auto& stack : shards) stack->server->Stop();
   }
   table.Print();
-  return 0;
+  return any_failed ? 1 : 0;
 }
 
 // ------------------------------------------------- idle-connection sweep

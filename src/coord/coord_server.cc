@@ -52,8 +52,8 @@ void FederationHandler::HandleQuery(
     return;
   }
   // Booked before any work, so a kCancel can never race ahead of its
-  // target — and the token is what QueryBatch polls to fan kCancel to
-  // every shard.
+  // target — and the token is what ShardClient::Collect polls to fan
+  // kCancel to every shard.
   auto token = transport.BeginRequest(conn, id);
   if (token == nullptr) return;
   auto task = [this, &transport, conn, id, token, received,
@@ -119,14 +119,7 @@ void FederationHandler::HandleIngest(net::Transport& transport,
   // processing is suspended meanwhile, preserving its pipeline order.
   transport.RunBlocking(conn, [this, &transport, conn, type, id,
                                request = std::move(request)]() mutable {
-    Result<net::IngestAck> ack = net::IngestAck{};
-    if (type == net::FrameType::kCreateRequest) {
-      ack = coord_.CreateSeries(request.series, request.values);
-    } else if (type == net::FrameType::kAppendRequest) {
-      ack = coord_.AppendSeries(request.series, request.values);
-    } else if (Status st = coord_.DropSeries(request.series); !st.ok()) {
-      ack = st;
-    }
+    Result<net::IngestAck> ack = coord_.Ingest(type, request);
     if (!ack.ok()) {
       transport.SendError(conn, id, ack.status());
       return;
@@ -141,7 +134,7 @@ void FederationHandler::HandleIngest(net::Transport& transport,
 void FederationHandler::HandleList(net::Transport& transport,
                                    const net::ConnectionPtr& conn,
                                    uint64_t id) {
-  // Fans out a LIST to every shard over the wire: blocking I/O, so off
+  // Sends LIST to every shard, then waits on each: blocking I/O, so off
   // the loop like ingest above.
   transport.RunBlocking(conn, [this, &transport, conn, id] {
     auto series = coord_.ListAll();

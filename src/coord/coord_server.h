@@ -12,6 +12,10 @@
 // and LIST route through the shard map. kCancel fans out: cancelling a
 // federated request id cancels every sub-query on every shard it touched.
 //
+// Threads: a federated query holds one federation pool worker, which does
+// the whole fan-out; ingest and LIST run on the transport's blocking
+// helper. The loop thread never waits on a shard.
+//
 // Ownership: FederationHandler holds the federation state — the
 // coordinator's own StatsRegistry, the Coordinator with its shard
 // connections, and the federation ThreadPool. CoordServer declares the

@@ -1,11 +1,7 @@
 #include "coord/coordinator.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "match/top_k.h"
@@ -16,12 +12,6 @@ namespace coord {
 
 namespace {
 
-size_t DefaultFanoutThreads(size_t shards) {
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;
-  return std::max<size_t>(1, std::min(shards, hw));
-}
-
 double MsBetween(std::chrono::steady_clock::time_point a,
                  std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -30,73 +20,38 @@ double MsBetween(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 Coordinator::Coordinator(ShardMap map, Options options)
-    : map_(std::move(map)),
-      options_(options),
-      pool_(options.fanout_threads > 0
-                ? options.fanout_threads
-                : DefaultFanoutThreads(map_.num_shards()),
-            /*max_queue=*/64) {
+    : map_(std::move(map)), options_(options) {
   shards_.reserve(map_.num_shards());
   for (uint32_t s = 0; s < map_.num_shards(); ++s) {
     ShardClient::Options client_options = options_.client;
-    if (options_.verify_shard_identity) {
-      client_options.expect_shard_id = s;
-      if (client_options.expect_fingerprint == 0) {
-        client_options.expect_fingerprint = map_.Fingerprint();
-      }
-    } else {
-      client_options.expect_fingerprint = 0;
+    client_options.expect_shard_id = s;
+    if (!options_.verify_shard_identity) {
+      client_options.expect_fingerprint = 0;  // disables the check
+    } else if (client_options.expect_fingerprint == 0) {
+      client_options.expect_fingerprint = map_.Fingerprint();
     }
     shards_.push_back(
         std::make_unique<ShardClient>(map_.endpoint(s), client_options));
   }
 }
 
-void Coordinator::FanOut(std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  struct Sync {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t done = 0;
-  };
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  auto sync = std::make_shared<Sync>();
-  const size_t total = tasks.size();
-  auto* tasks_ptr = &tasks;
-  // A helper that wakes after the owner already finished everything
-  // claims an index >= total and exits without touching the (by then
-  // dead) task vector — only the claim cursor and sync block, which the
-  // shared_ptrs keep alive.
-  auto worker = [next, sync, tasks_ptr, total] {
-    for (;;) {
-      const size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
-      (*tasks_ptr)[i]();
-      std::lock_guard<std::mutex> lock(sync->mu);
-      if (++sync->done == total) sync->cv.notify_all();
-    }
-  };
-  // Helpers are best-effort: a full pool sheds them and the owner's own
-  // claim loop below still finishes every task — degraded to serial, but
-  // never deadlocked on pool capacity.
-  for (size_t h = 1; h < total; ++h) (void)pool_.Submit(worker);
-  worker();
-  std::unique_lock<std::mutex> lock(sync->mu);
-  sync->cv.wait(lock, [&] { return sync->done == total; });
-}
-
 QueryResponse Coordinator::ExecuteExact(
     const net::WireQueryRequest& request,
     const std::shared_ptr<CancelToken>& cancel) {
   const uint32_t owner = map_.OwnerOf(request.request.series);
-  auto batch = shards_[owner]->QueryBatch(std::span(&request, 1), cancel,
-                                          request.request.timeout_ms);
-  if (!batch.ok()) {
-    QueryResponse response;
-    response.status = batch.status();
-    return response;
-  }
-  return std::move(batch->front());
+  auto call = shards_[owner]->Dispatch(std::span(&request, 1),
+                                       request.request.timeout_ms);
+  QueryResponse response;
+  ShardClient::Collect(
+      std::span(&call, 1), cancel,
+      [&response](size_t, Result<std::vector<QueryResponse>> answers) {
+        if (answers.ok()) {
+          response = std::move(answers->front());
+        } else {
+          response.status = answers.status();
+        }
+      });
+  return response;
 }
 
 net::FederatedResponse Coordinator::ExecutePattern(
@@ -119,92 +74,87 @@ net::FederatedResponse Coordinator::ExecutePattern(
 
   struct ShardOutcome {
     Status status = Status::OK();
+    std::vector<std::string> names;  // the shard's batch, in order
     std::vector<net::FederatedSeriesMatches> groups;
     MatchStats stats;
-    std::chrono::steady_clock::time_point start{}, end{};
+    std::chrono::steady_clock::time_point end{};
   };
   std::vector<ShardOutcome> outcomes(map_.num_shards());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(map_.num_shards());
+
+  // Plan each shard against its own directory, then send its batch. Every
+  // batch is sent before any is collected.
+  auto listings = ListEach();
+  std::vector<Result<ShardClient::Call>> calls;
+  calls.reserve(map_.num_shards());
   for (uint32_t s = 0; s < map_.num_shards(); ++s) {
-    tasks.push_back([this, s, &request, &cancel, &outcomes, trace, t0] {
-      ShardOutcome& out = outcomes[s];
-      out.start = std::chrono::steady_clock::now();
-      // Plan against this shard's own directory: only series it owns
-      // under the current map (a leftover replica from a reshard must
-      // not produce the same series from two shards).
-      auto listing = shards_[s]->ListSeries();
-      if (!listing.ok()) {
-        out.status = listing.status();
-        out.end = std::chrono::steady_clock::now();
-        return;
+    ShardOutcome& out = outcomes[s];
+    if (!listings[s].ok()) {
+      calls.push_back(listings[s].status());
+      continue;
+    }
+    // Only series this shard owns under the current map: a leftover
+    // replica from a reshard must not produce the same series from two
+    // shards.
+    for (const auto& info : *listings[s]) {
+      if (GlobMatch(request.request.series, info.name) &&
+          map_.OwnerOf(info.name) == s) {
+        out.names.push_back(info.name);
       }
-      std::vector<std::string> names;
-      for (const auto& info : *listing) {
-        if (GlobMatch(request.request.series, info.name) &&
-            map_.OwnerOf(info.name) == s) {
-          names.push_back(info.name);
-        }
-      }
-      std::sort(names.begin(), names.end());
-      if (names.empty()) {
-        out.end = std::chrono::steady_clock::now();
-        return;
-      }
-      // The budget that is left after planning is what the shard gets.
-      const double remaining =
-          net::RemainingBudgetMs(request.request.timeout_ms, t0);
-      if (request.request.timeout_ms > 0.0 && remaining <= 0.0) {
-        out.status = Status::DeadlineExceeded(
-            "deadline spent before shard " + std::to_string(s) +
-            " was queried");
-        out.end = std::chrono::steady_clock::now();
-        return;
-      }
-      std::vector<net::WireQueryRequest> batch;
-      batch.reserve(names.size());
-      for (const auto& name : names) {
-        net::WireQueryRequest sub = request;
-        sub.by_reference = false;
-        sub.request.series = name;
-        sub.request.timeout_ms = remaining;
-        batch.push_back(std::move(sub));
-      }
-      auto answers = shards_[s]->QueryBatch(batch, cancel, remaining);
-      if (!answers.ok()) {
-        out.status = answers.status();
-        out.end = std::chrono::steady_clock::now();
-        return;
-      }
-      for (size_t i = 0; i < answers->size(); ++i) {
-        QueryResponse& answer = (*answers)[i];
-        out.stats.Add(answer.stats);
-        if (trace != nullptr && answer.trace != nullptr) {
-          // Shard spans are re-based onto the coordinator timeline at
-          // this batch's start and namespaced per shard.
-          const double base = MsBetween(t0, out.start);
-          for (TraceSpan span : answer.trace->spans()) {
-            span.name =
-                "shard" + std::to_string(s) + "/" + names[i] + "/" +
-                span.name;
-            span.start_ms += base;
-            trace->AddSpanAt(std::move(span));
-          }
-        }
-        if (!answer.status.ok()) {
-          // One failed sub-query (cancelled, deadline, shard-side error)
-          // degrades this shard to partial; the successful groups are
-          // still delivered.
-          if (out.status.ok()) out.status = answer.status;
-          continue;
-        }
-        out.groups.push_back(net::FederatedSeriesMatches{
-            names[i], std::move(answer.matches)});
-      }
-      out.end = std::chrono::steady_clock::now();
-    });
+    }
+    std::sort(out.names.begin(), out.names.end());
+    // The budget that is left after planning is what the shard gets.
+    const double remaining =
+        net::RemainingBudgetMs(request.request.timeout_ms, t0);
+    if (!out.names.empty() && request.request.timeout_ms > 0.0 &&
+        remaining <= 0.0) {
+      calls.push_back(Status::DeadlineExceeded(
+          "deadline spent before shard " + std::to_string(s) +
+          " was queried"));
+      continue;
+    }
+    std::vector<net::WireQueryRequest> batch;
+    batch.reserve(out.names.size());
+    for (const auto& name : out.names) {
+      net::WireQueryRequest sub = request;
+      sub.by_reference = false;
+      sub.request.series = name;
+      sub.request.timeout_ms = remaining;
+      batch.push_back(std::move(sub));
+    }
+    calls.push_back(shards_[s]->Dispatch(batch, remaining));
   }
-  FanOut(tasks);
+
+  ShardClient::Collect(
+      calls, cancel, [&](size_t s, Result<std::vector<QueryResponse>> answers) {
+        ShardOutcome& out = outcomes[s];
+        out.end = std::chrono::steady_clock::now();
+        if (!answers.ok()) {
+          out.status = answers.status();
+          return;
+        }
+        for (size_t i = 0; i < answers->size(); ++i) {
+          QueryResponse& answer = (*answers)[i];
+          out.stats.Add(answer.stats);
+          if (trace != nullptr && answer.trace != nullptr) {
+            // Shard spans land on the coordinator timeline counted from
+            // the fan-out's start, t0, and namespaced per shard.
+            for (TraceSpan span : answer.trace->spans()) {
+              span.name = "shard" + std::to_string(s) + "/" + out.names[i] +
+                          "/" + span.name;
+              trace->AddSpanAt(std::move(span));
+            }
+          }
+          if (!answer.status.ok()) {
+            // One failed sub-query (cancelled, deadline, shard-side error)
+            // degrades this shard to partial; the successful groups are
+            // still delivered.
+            if (out.status.ok()) out.status = answer.status;
+            continue;
+          }
+          out.groups.push_back(net::FederatedSeriesMatches{
+              out.names[i], std::move(answer.matches)});
+        }
+      });
 
   const auto merge_t0 = std::chrono::steady_clock::now();
   std::vector<net::FederatedSeriesMatches> groups;
@@ -220,8 +170,7 @@ net::FederatedResponse Coordinator::ExecutePattern(
     if (trace != nullptr) {
       TraceSpan span;
       span.name = "shard" + std::to_string(s);
-      span.start_ms = MsBetween(t0, out.start);
-      span.dur_ms = MsBetween(out.start, out.end);
+      span.dur_ms = MsBetween(t0, out.end);
       span.worker = s;
       trace->AddSpanAt(std::move(span));
     }
@@ -271,13 +220,24 @@ net::FederatedResponse Coordinator::ExecutePattern(
   return fed;
 }
 
+std::vector<Result<std::vector<net::SeriesInfo>>> Coordinator::ListEach() {
+  std::vector<Result<ShardClient::Call>> sent;
+  for (auto& shard : shards_) sent.push_back(shard->SendList());
+  std::vector<Result<std::vector<net::SeriesInfo>>> listings;
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    listings.push_back(shards_[s]->WaitList(std::move(sent[s])));
+  }
+  return listings;
+}
+
 Result<std::vector<net::SeriesInfo>> Coordinator::ListAll() {
+  auto listings = ListEach();
   // pair.first: whether the kept copy came from its owner shard.
   std::map<std::string, std::pair<bool, net::SeriesInfo>> best;
   Status first_error = Status::OK();
   size_t reachable = 0;
   for (uint32_t s = 0; s < map_.num_shards(); ++s) {
-    auto listing = shards_[s]->ListSeries();
+    auto& listing = listings[s];
     if (!listing.ok()) {
       if (first_error.ok()) first_error = listing.status();
       continue;
@@ -304,18 +264,9 @@ Result<std::vector<net::SeriesInfo>> Coordinator::ListAll() {
   return out;
 }
 
-Result<net::IngestAck> Coordinator::CreateSeries(
-    const std::string& name, std::span<const double> values) {
-  return shards_[map_.OwnerOf(name)]->CreateSeries(name, values);
-}
-
-Result<net::IngestAck> Coordinator::AppendSeries(
-    const std::string& name, std::span<const double> values) {
-  return shards_[map_.OwnerOf(name)]->AppendSeries(name, values);
-}
-
-Status Coordinator::DropSeries(const std::string& name) {
-  return shards_[map_.OwnerOf(name)]->DropSeries(name);
+Result<net::IngestAck> Coordinator::Ingest(
+    net::FrameType type, const net::WireIngestRequest& request) {
+  return shards_[map_.OwnerOf(request.series)]->Ingest(type, request);
 }
 
 }  // namespace coord

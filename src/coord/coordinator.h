@@ -16,14 +16,18 @@
 // the whole query — it is recorded per shard in the FederatedResponse
 // and shards_ok < shards_total marks the result typed-partial.
 //
-// Cancellation/deadlines: the caller's CancelToken is polled inside
-// every shard batch and fans kCancel to each shard's outstanding
-// sub-queries; deadline budgets travel as REMAINING milliseconds and
-// shrink at every hop.
+// Fan-out: one thread does it all. A pattern query sends LIST to every
+// shard before it waits on any answer, then sends every shard's batch
+// before it collects any, so it costs the slowest shard, not the sum of
+// the shards.
+//
+// Cancellation/deadlines: the caller's CancelToken is polled while the
+// shard batches are collected; when it fires, kCancel goes to every
+// shard's outstanding sub-queries at once. Deadline budgets travel as
+// REMAINING milliseconds and shrink at every hop.
 #ifndef KVMATCH_COORD_COORDINATOR_H_
 #define KVMATCH_COORD_COORDINATOR_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,7 +36,6 @@
 #include "coord/shard_client.h"
 #include "coord/shard_map.h"
 #include "net/protocol.h"
-#include "service/thread_pool.h"
 
 namespace kvmatch {
 namespace coord {
@@ -42,11 +45,6 @@ class Coordinator {
   struct Options {
     /// Per-shard-call bound and reconnect backoff (see ShardClient).
     ShardClient::Options client;
-    /// Fan-out helpers: tasks beyond what the pool can take run on the
-    /// calling thread (owner-claims-work), so a saturated pool degrades
-    /// to serial fan-out instead of deadlock. 0 → one per shard,
-    /// capped at hardware concurrency.
-    size_t fanout_threads = 0;
     /// Verify each shard's kShardInfo identity (shard id + map
     /// fingerprint) on connect. Disable only for in-process clusters
     /// whose shards bind ephemeral ports — their identity cannot be in
@@ -76,28 +74,21 @@ class Coordinator {
   /// directory; queries against their series will answer typed errors).
   Result<std::vector<net::SeriesInfo>> ListAll();
 
-  /// Ingest routed to the owner shard.
-  Result<net::IngestAck> CreateSeries(const std::string& name,
-                                      std::span<const double> values);
-  Result<net::IngestAck> AppendSeries(const std::string& name,
-                                      std::span<const double> values);
-  Status DropSeries(const std::string& name);
+  /// CREATE, APPEND or DROP (`type`) routed to the owner shard.
+  Result<net::IngestAck> Ingest(net::FrameType type,
+                                const net::WireIngestRequest& request);
 
   const ShardMap& map() const { return map_; }
-  ShardClient* shard(uint32_t id) { return shards_[id].get(); }
   const ShardClient* shard(uint32_t id) const { return shards_[id].get(); }
 
  private:
-  /// Runs every task exactly once and returns when all are done.
-  /// Owner-claims-work: this thread claims tasks from the same atomic
-  /// cursor as the pool helpers, so completion never depends on pool
-  /// capacity (helpers are submitted best-effort and may be shed).
-  void FanOut(std::vector<std::function<void()>>& tasks);
+  /// Every shard's directory, in shard order. LIST goes to every shard
+  /// before any answer is awaited.
+  std::vector<Result<std::vector<net::SeriesInfo>>> ListEach();
 
   ShardMap map_;
   Options options_;
   std::vector<std::unique_ptr<ShardClient>> shards_;
-  ThreadPool pool_;
 };
 
 }  // namespace coord

@@ -278,14 +278,9 @@ Result<IngestAck> Client::IngestRoundTrip(FrameType type,
   request.values.assign(values.begin(), values.end());
   std::string body;
   EncodeIngestRequestBody(request, &body);
-  auto id = SendFrame(type, std::move(body));
-  if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
+  auto frame = RoundTrip(type, std::move(body), FrameType::kIngestResponse,
+                         "ingest");
   if (!frame.ok()) return frame.status();
-  if (frame->type == FrameType::kError) return CarriedError(*frame);
-  if (frame->type != FrameType::kIngestResponse) {
-    return Status::Corruption("unexpected frame type answering ingest");
-  }
   IngestAck ack;
   KVMATCH_RETURN_NOT_OK(DecodeIngestResponseBody(frame->body, &ack));
   return ack;
@@ -306,41 +301,50 @@ Status Client::DropSeries(const std::string& name) {
   return ack.status();
 }
 
-Result<std::string> Client::StatsText() {
-  auto id = SendFrame(FrameType::kStatsRequest, "");
-  if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
+Result<Frame> Client::WaitTyped(uint64_t id, FrameType type,
+                                const char* what) {
+  auto frame = WaitFrame(id);
   if (!frame.ok()) return frame.status();
   if (frame->type == FrameType::kError) return CarriedError(*frame);
-  if (frame->type != FrameType::kStatsResponse) {
-    return Status::Corruption("unexpected frame type answering STATS");
+  if (frame->type != type) {
+    return Status::Corruption(
+        std::string("unexpected frame type answering ") + what);
   }
+  return frame;
+}
+
+Result<Frame> Client::RoundTrip(FrameType type, std::string body,
+                                FrameType answer, const char* what) {
+  auto id = SendFrame(type, std::move(body));
+  if (!id.ok()) return id.status();
+  return WaitTyped(*id, answer, what);
+}
+
+Result<std::string> Client::StatsText() {
+  auto frame = RoundTrip(FrameType::kStatsRequest, "",
+                         FrameType::kStatsResponse, "STATS");
+  if (!frame.ok()) return frame.status();
   return std::move(frame->body);
 }
 
 Result<std::vector<SeriesInfo>> Client::ListSeries() {
-  auto id = SendFrame(FrameType::kListRequest, "");
+  auto id = SendList();
   if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
+  return WaitList(*id);
+}
+
+Result<std::vector<SeriesInfo>> Client::WaitList(uint64_t id) {
+  auto frame = WaitTyped(id, FrameType::kListResponse, "LIST");
   if (!frame.ok()) return frame.status();
-  if (frame->type == FrameType::kError) return CarriedError(*frame);
-  if (frame->type != FrameType::kListResponse) {
-    return Status::Corruption("unexpected frame type answering LIST");
-  }
   std::vector<SeriesInfo> series;
   KVMATCH_RETURN_NOT_OK(DecodeListResponseBody(frame->body, &series));
   return series;
 }
 
 Result<ShardInfo> Client::GetShardInfo() {
-  auto id = SendFrame(FrameType::kShardInfoRequest, "");
-  if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
+  auto frame = RoundTrip(FrameType::kShardInfoRequest, "",
+                         FrameType::kShardInfoResponse, "SHARDINFO");
   if (!frame.ok()) return frame.status();
-  if (frame->type == FrameType::kError) return CarriedError(*frame);
-  if (frame->type != FrameType::kShardInfoResponse) {
-    return Status::Corruption("unexpected frame type answering SHARDINFO");
-  }
   ShardInfo info;
   KVMATCH_RETURN_NOT_OK(DecodeShardInfoBody(frame->body, &info));
   return info;
@@ -367,15 +371,7 @@ Result<FederatedResponse> Client::FederatedQuery(
 }
 
 Status Client::Ping() {
-  auto id = SendFrame(FrameType::kPing, "");
-  if (!id.ok()) return id.status();
-  auto frame = WaitFrame(*id);
-  if (!frame.ok()) return frame.status();
-  if (frame->type == FrameType::kError) return CarriedError(*frame);
-  if (frame->type != FrameType::kPong) {
-    return Status::Corruption("unexpected frame type answering PING");
-  }
-  return Status::OK();
+  return RoundTrip(FrameType::kPing, "", FrameType::kPong, "PING").status();
 }
 
 }  // namespace net

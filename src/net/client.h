@@ -104,6 +104,11 @@ class Client {
 
   /// Catalog directory: every registered series and its length.
   Result<std::vector<SeriesInfo>> ListSeries();
+  /// ListSeries in two halves, to send on several connections first.
+  Result<uint64_t> SendList() {
+    return SendFrame(FrameType::kListRequest, "");
+  }
+  Result<std::vector<SeriesInfo>> WaitList(uint64_t id);
 
   /// The server's cluster identity (kShardInfo round-trip): which shard
   /// it is, under which map fingerprint, or standalone/coordinator.
@@ -125,6 +130,12 @@ class Client {
   /// Turns a final frame into the QueryResponse it carries, folding in
   /// the stream chunks accumulated for `id`.
   Result<QueryResponse> AssembleResponse(Result<Frame> frame, uint64_t id);
+  /// Waits for the answer to `id`, which must be a `type` frame; a kError
+  /// answer becomes the Status it carries.
+  Result<Frame> WaitTyped(uint64_t id, FrameType type, const char* what);
+  /// SendFrame + WaitTyped.
+  Result<Frame> RoundTrip(FrameType type, std::string body, FrameType answer,
+                          const char* what);
   /// CREATE/APPEND round-trip body shared by the ingest methods.
   Result<IngestAck> IngestRoundTrip(FrameType type, const std::string& name,
                                     std::span<const double> values);

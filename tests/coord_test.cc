@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -207,14 +208,17 @@ struct ShardNode {
 
 std::unique_ptr<ShardNode> StartShardNode(
     uint32_t shard_id, uint32_t num_shards,
-    const std::shared_ptr<ShardMap>& map, size_t threads = 4) {
+    const std::shared_ptr<ShardMap>& map, size_t threads = 4,
+    bool parallel_verify = true) {
   Catalog::Options copts;
   copts.session = SmallOptions();
   auto node = std::make_unique<ShardNode>();
   node->catalog = std::make_unique<Catalog>(&node->store, copts);
   node->service = std::make_unique<QueryService>(
       node->catalog.get(),
-      QueryService::Options{.num_threads = threads, .max_queue = 1024});
+      QueryService::Options{.num_threads = threads,
+                            .max_queue = 1024,
+                            .parallel_verify = parallel_verify});
   node->catalog->SetStatsRegistry(node->service->stats_registry());
   net::Server::Options sopts;
   sopts.port = 0;
@@ -866,6 +870,61 @@ TEST(CoordFederationTest, DestructorDrainsInFlightQueryWithoutExplicitStop) {
   EXPECT_FALSE(response->status.ok());
 }
 
+TEST(CoordFederationTest, StatsAndPingAnswerWhileAShardCallWaits) {
+  // STATS is answered on the transport's loop thread and reads every
+  // shard's connected gauge. While a query waits on a shard that never
+  // answers, neither STATS nor a PING on another connection may wait for
+  // that shard call — one slow shard must not freeze every coordinator
+  // connection for the call timeout.
+  constexpr double kBoundMs = 250.0;
+  SilentShard shard;
+  auto map =
+      ShardMap::FromEndpoints({ShardEndpoint{"127.0.0.1", shard.port()}});
+  ASSERT_TRUE(map.ok());
+  CoordServer::CoordOptions options;
+  options.server.port = 0;
+  options.coord.verify_shard_identity = false;
+  options.coord.client.call_timeout_ms = 2'000.0;
+  CoordServer coordinator(*map, options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  auto querier = net::Client::Connect("127.0.0.1", coordinator.port());
+  ASSERT_TRUE(querier.ok());
+  QueryRequest req;
+  req.series = "silent";
+  req.query.assign(64, 0.0);
+  req.params.type = QueryType::kRsmEd;
+  req.params.epsilon = 1.0;
+  auto id = (*querier)->SendRequest(req);
+  ASSERT_TRUE(id.ok());
+  shard.Accept();  // the coordinator dialed: the query waits on the shard
+
+  auto observer = net::Client::Connect("127.0.0.1", coordinator.port());
+  ASSERT_TRUE(observer.ok());
+  auto t0 = std::chrono::steady_clock::now();
+  auto stats = (*observer)->StatsText();
+  const double stats_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_LT(stats_ms, kBoundMs);
+  EXPECT_NE(stats->find("kvmatch_coord_shard_connected{shard=\"0\"}"),
+            std::string::npos);
+
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE((*observer)->Ping().ok());
+  const double ping_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(ping_ms, kBoundMs);
+
+  // The query itself still ends, typed, once the call timeout passes.
+  auto response = (*querier)->WaitResponse(*id);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->status.ok());
+  coordinator.Stop();
+}
+
 TEST(ShardClientTest, RefusesShardWithWrongIdentity) {
   // A shard claiming (shard 1, fingerprint 0xABC).
   MemKvStore store;
@@ -978,6 +1037,75 @@ TEST(CoordFederationTest, CancelFansKCancelToEveryShard) {
   for (uint32_t s = 0; s < 3; ++s) {
     EXPECT_EQ(nodes[s]->service->Stats().cancelled, 1u) << "shard " << s;
   }
+}
+
+TEST(CoordFederationTest, SecondQueryOnABusyShardAnswersWhileTheFirstRuns) {
+  // One shard runs the never-finishing cNSM-DTW query of the cancel test
+  // above. A second exact query on the same shard must answer while the
+  // first one still runs: each call leases its own shard connection
+  // instead of queueing behind the other's round trip. The shard verifies
+  // each query on one worker, so the heavy query leaves the second worker
+  // free.
+  auto map = std::make_shared<ShardMap>();
+  std::vector<std::unique_ptr<ShardNode>> nodes;
+  nodes.push_back(StartShardNode(0, 1, map, /*threads=*/2,
+                                 /*parallel_verify=*/false));
+  auto built = ShardMap::FromEndpoints(
+      {ShardEndpoint{"127.0.0.1", nodes[0]->server->port()}});
+  ASSERT_TRUE(built.ok());
+  *map = *built;
+
+  Rng rng(4242);
+  const TimeSeries heavy = GenerateSynthetic(60'000, &rng);
+  TimeSeries heavy_copy = heavy;
+  ASSERT_TRUE(nodes[0]->catalog->Ingest("heavy", std::move(heavy_copy)).ok());
+  const TimeSeries light = GenerateSynthetic(kClusterLen, &rng);
+  TimeSeries light_copy = light;
+  ASSERT_TRUE(nodes[0]->catalog->Ingest("light", std::move(light_copy)).ok());
+
+  Coordinator::Options options;
+  options.verify_shard_identity = false;
+  Coordinator coord(*map, options);
+
+  net::WireQueryRequest slow;
+  slow.request.series = "heavy";
+  slow.request.query = ExtractQuery(heavy, 30'000, 512, 0.3, &rng);
+  slow.request.params.type = QueryType::kCnsmDtw;
+  slow.request.params.epsilon = 1e6;
+  slow.request.params.alpha = 1e6;
+  slow.request.params.beta = 1e6;
+  slow.request.params.rho = 32;
+  auto cancel = std::make_shared<CancelToken>();
+  std::atomic<bool> slow_done{false};
+  QueryResponse slow_response;
+  std::thread runner([&] {
+    slow_response = coord.ExecuteExact(slow, cancel);
+    slow_done.store(true);
+  });
+  // Wait until the shard has the heavy query in hand.
+  const auto wait_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (nodes[0]->service->Stats().in_flight == 0 &&
+         std::chrono::steady_clock::now() < wait_until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(nodes[0]->service->Stats().in_flight, 1u);
+
+  net::WireQueryRequest quick;
+  quick.request.series = "light";
+  quick.request.query = ExtractQuery(light, 100, 128, 0.1, &rng);
+  quick.request.params.type = QueryType::kRsmEd;
+  quick.request.params.epsilon = 3.0;
+  const QueryResponse fast = coord.ExecuteExact(quick, nullptr);
+  EXPECT_TRUE(fast.status.ok()) << fast.status.ToString();
+  EXPECT_FALSE(fast.matches.empty());
+  EXPECT_FALSE(slow_done.load()) << "the second query waited for the first";
+
+  cancel->Cancel();
+  runner.join();
+  EXPECT_TRUE(slow_response.status.IsCancelled())
+      << slow_response.status.ToString();
+  EXPECT_EQ(nodes[0]->service->Stats().cancelled, 1u);
 }
 
 }  // namespace

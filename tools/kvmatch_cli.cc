@@ -516,6 +516,33 @@ Result<net::WireQueryRequest> ParseWireRequestLine(const std::string& line) {
   return wire;
 }
 
+/// Reads a query file into `out` through `parse`, one request per line;
+/// blank lines and '#' comments are skipped. Returns 0, or the exit code
+/// after reporting why the file is unusable (a bad line as path:line).
+template <typename Request, typename Parse>
+int ReadQueryFile(const std::string& path, Parse parse,
+                  std::vector<Request>* out) {
+  std::ifstream in(path);
+  if (!in) return Fail(Status::IOError("cannot open " + path));
+  std::string line;
+  size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    auto req = parse(line);
+    if (!req.ok()) {
+      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), lineno,
+                   req.status().ToString().c_str());
+      return 1;
+    }
+    out->push_back(std::move(req).value());
+  }
+  if (out->empty()) {
+    return Fail(Status::InvalidArgument("no queries in " + path));
+  }
+  return 0;
+}
+
 void PrintServiceStats(const ServiceStatsSnapshot& snap) {
   TablePrinter table({"Series", "Queries", "Errors", "QPS", "Min (ms)",
                       "Mean (ms)", "p99 (ms)", "Candidates", "Scans"});
@@ -549,26 +576,15 @@ int CmdBatchQuery(const Args& args) {
   if (!store.ok()) return Fail(store.status());
   Catalog catalog(store->get());
 
-  std::ifstream in(queries_path);
-  if (!in) {
-    return Fail(Status::IOError("cannot open " + queries_path));
-  }
   std::vector<QueryRequest> requests;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    auto req = ParseRequestLine(line, &catalog);
-    if (!req.ok()) {
-      std::fprintf(stderr, "%s:%zu: %s\n", queries_path.c_str(), lineno,
-                   req.status().ToString().c_str());
-      return 1;
-    }
-    requests.push_back(std::move(req).value());
-  }
-  if (requests.empty()) {
-    return Fail(Status::InvalidArgument("no queries in " + queries_path));
+  if (int rc = ReadQueryFile(
+          queries_path,
+          [&catalog](const std::string& line) {
+            return ParseRequestLine(line, &catalog);
+          },
+          &requests);
+      rc != 0) {
+    return rc;
   }
 
   QueryService::Options sopts;
@@ -661,6 +677,37 @@ std::atomic<bool> g_shutdown{false};
 
 void HandleSignal(int) { g_shutdown.store(true); }
 
+/// Sleeps in 100 ms slices until SIGINT/SIGTERM arrives or, when
+/// `seconds` > 0, until that long has passed. True when a signal ended
+/// the wait.
+bool WaitForSignal(double seconds = 0.0) {
+  std::signal(SIGINT, HandleSignal);
+  std::signal(SIGTERM, HandleSignal);
+  const auto wake =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds));
+  while (!g_shutdown.load()) {
+    if (seconds > 0.0 && std::chrono::steady_clock::now() >= wake) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  return true;
+}
+
+/// The transport flags `serve` and `coord` share.
+void ReadTransportOptions(const Args& args, uint64_t default_port,
+                          net::Transport::Options* out) {
+  out->bind_address = args.Get("bind", "127.0.0.1");
+  out->port = static_cast<int>(args.GetU64("port", default_port));
+  out->max_connections = args.GetU64("max-conns", 64);
+  out->idle_timeout_ms = args.GetF("idle-ms", 0.0);
+  out->stream_chunk_matches = args.GetU64("stream-chunk", 2'000'000);
+  out->drain_timeout_ms = args.GetF("drain-ms", 30'000.0);
+  out->max_outbox_bytes = args.GetU64("max-outbox-mb", 256) << 20;
+}
+
 int CmdServe(const Args& args) {
   const std::string store_path = args.Get("store");
   if (store_path.empty()) return Usage();
@@ -700,13 +747,7 @@ int CmdServe(const Args& args) {
   catalog.SetStatsRegistry(service.stats_registry());
 
   net::Server::Options nopts;
-  nopts.bind_address = args.Get("bind", "127.0.0.1");
-  nopts.port = static_cast<int>(args.GetU64("port", 7777));
-  nopts.max_connections = args.GetU64("max-conns", 64);
-  nopts.idle_timeout_ms = args.GetF("idle-ms", 0.0);
-  nopts.stream_chunk_matches = args.GetU64("stream-chunk", 2'000'000);
-  nopts.drain_timeout_ms = args.GetF("drain-ms", 30'000.0);
-  nopts.max_outbox_bytes = args.GetU64("max-outbox-mb", 256) << 20;
+  ReadTransportOptions(args, 7777, &nopts);
   nopts.slow_query_ms = args.GetF("slow-query-ms", 0.0);
   // Cluster membership: with --shard-map and --shard-id this process
   // serves one slice of the hash space — it answers kShardInfo with its
@@ -744,11 +785,7 @@ int CmdServe(const Args& args) {
               server.port(), service.num_threads(), sopts.max_queue);
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  while (!g_shutdown.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  WaitForSignal();
   std::printf("draining %zu connection(s)...\n", server.ActiveConnections());
   server.Stop();
   // Flight recorder after the drain: the ring now includes everything the
@@ -769,14 +806,7 @@ int CmdCoord(const Args& args) {
   if (!map.ok()) return Fail(map.status());
 
   coord::CoordServer::CoordOptions opts;
-  opts.server.bind_address = args.Get("bind", "127.0.0.1");
-  opts.server.port = static_cast<int>(args.GetU64("port", 7900));
-  opts.server.max_connections = args.GetU64("max-conns", 64);
-  opts.server.idle_timeout_ms = args.GetF("idle-ms", 0.0);
-  opts.server.stream_chunk_matches =
-      args.GetU64("stream-chunk", 2'000'000);
-  opts.server.drain_timeout_ms = args.GetF("drain-ms", 30'000.0);
-  opts.server.max_outbox_bytes = args.GetU64("max-outbox-mb", 256) << 20;
+  ReadTransportOptions(args, 7900, &opts.server);
   opts.coord.client.call_timeout_ms = args.GetF("shard-timeout-ms",
                                                 10'000.0);
   opts.num_threads = args.GetU64("threads", 4);
@@ -793,11 +823,7 @@ int CmdCoord(const Args& args) {
               static_cast<unsigned long long>(fingerprint));
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  while (!g_shutdown.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  WaitForSignal();
   std::printf("draining %zu connection(s)...\n", server.ActiveConnections());
   server.Stop();
   return 0;
@@ -809,24 +835,10 @@ int CmdRemoteQuery(const Args& args) {
   const std::string queries_path = args.Get("queries");
   if (queries_path.empty()) return Usage();
 
-  std::ifstream in(queries_path);
-  if (!in) return Fail(Status::IOError("cannot open " + queries_path));
   std::vector<net::WireQueryRequest> requests;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    auto req = ParseWireRequestLine(line);
-    if (!req.ok()) {
-      std::fprintf(stderr, "%s:%zu: %s\n", queries_path.c_str(), lineno,
-                   req.status().ToString().c_str());
-      return 1;
-    }
-    requests.push_back(std::move(req).value());
-  }
-  if (requests.empty()) {
-    return Fail(Status::InvalidArgument("no queries in " + queries_path));
+  if (int rc = ReadQueryFile(queries_path, ParseWireRequestLine, &requests);
+      rc != 0) {
+    return rc;
   }
   const bool want_trace = args.Has("trace") || args.Has("trace-json");
   if (want_trace) {
@@ -892,24 +904,10 @@ int CmdRemoteCancel(const Args& args) {
   if (queries_path.empty()) return Usage();
   const double after_ms = args.GetF("after-ms", 100.0);
 
-  std::ifstream in(queries_path);
-  if (!in) return Fail(Status::IOError("cannot open " + queries_path));
   std::vector<net::WireQueryRequest> requests;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    auto req = ParseWireRequestLine(line);
-    if (!req.ok()) {
-      std::fprintf(stderr, "%s:%zu: %s\n", queries_path.c_str(), lineno,
-                   req.status().ToString().c_str());
-      return 1;
-    }
-    requests.push_back(std::move(req).value());
-  }
-  if (requests.empty()) {
-    return Fail(Status::InvalidArgument("no queries in " + queries_path));
+  if (int rc = ReadQueryFile(queries_path, ParseWireRequestLine, &requests);
+      rc != 0) {
+    return rc;
   }
 
   auto client = net::Client::Connect(host, port);
@@ -1118,20 +1116,9 @@ int CmdStats(const Args& args) {
 
   const double watch_sec = args.GetF("watch", 0.0);
   if (watch_sec <= 0.0) return 0;
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
   auto prev = ParseMetrics(*text);
   size_t tick = 0;
-  while (!g_shutdown.load()) {
-    // Sleep in short slices so Ctrl-C lands promptly mid-interval.
-    const auto wake =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(watch_sec));
-    while (!g_shutdown.load() && std::chrono::steady_clock::now() < wake) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    if (g_shutdown.load()) break;
+  while (!WaitForSignal(watch_sec)) {
     auto poll = (*client)->StatsText();
     if (!poll.ok()) return Fail(poll.status());
     auto cur = ParseMetrics(*poll);
