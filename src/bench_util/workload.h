@@ -29,7 +29,7 @@ struct BenchFlags {
 /// A dataset with its prefix-stat oracle.
 struct Workload {
   TimeSeries series;
-  PrefixStats prefix;
+  PrefixStats prefix;  // a view of series' buffer, which a move keeps
 
   /// "ucr" (default) or "synthetic".
   static Workload Make(size_t n, uint64_t seed,

@@ -65,12 +65,7 @@ void FederationHandler::HandleQuery(
         wire_request.request.timeout_ms, received);
     const std::string series = wire_request.request.series;
     std::vector<std::string> wires;
-    if (IsGlobPattern(series) && wire_request.by_reference) {
-      QueryResponse rejected;
-      rejected.status = Status::InvalidArgument(
-          "pattern queries require literal query values");
-      wires = transport.EncodeResponseRun(id, std::move(rejected), false);
-    } else if (IsGlobPattern(series)) {
+    if (IsGlobPattern(series)) {
       net::FederatedResponse fed = coord_.ExecutePattern(wire_request, token);
       stats_.RecordQuery(series, fed.latency_ms, fed.stats, fed.status.ok());
       if (fed.status.IsCancelled()) stats_.RecordCancelled(series);

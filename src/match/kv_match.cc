@@ -13,10 +13,9 @@ Result<IntervalList> ComputeCandidateSet(
     const TimeSeries& series, std::span<const double> q,
     const QueryParams& params, const std::vector<QuerySegment>& segments,
     MatchStats* stats, const MatchOptions& options, const ExecContext& ctx) {
-  // Phase 1 never touches the prefix oracle; an empty one outliving the
-  // executor keeps the reference valid without building O(n) sums.
-  const PrefixStats no_prefix;
-  auto executor = QueryExecutor::Create(series, no_prefix, q, params,
+  // Phase 1 never asks the oracle for its arrays, so it builds none.
+  const PrefixStats prefix(series);
+  auto executor = QueryExecutor::Create(series, prefix, q, params,
                                         segments, options);
   if (!executor.ok()) return executor.status();
   Status st = (*executor)->RunPhase1(ctx);

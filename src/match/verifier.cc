@@ -78,8 +78,13 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
   simd::AlignedBuffer c_lower_hat, c_upper_hat;  // cNSM: normalized slice
   std::vector<size_t> env_queues;
   const std::vector<double>& xs = series_.values();
-  const std::span<const double> psum = prefix_.prefix_sums();
-  const std::span<const double> psq = prefix_.prefix_squares();
+  // Only cNSM reads a candidate's µ/σ: RSM never asks for the prefix
+  // arrays, so it never makes the oracle build them.
+  std::span<const double> psum, psq;
+  if (normalized) {
+    psum = prefix_.prefix_sums();
+    psq = prefix_.prefix_squares();
+  }
 
   size_t deadline_tick = 0;
   for (const auto& wi : cs.intervals()) {

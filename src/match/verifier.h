@@ -69,7 +69,8 @@ struct VerifyOptions {
 /// Results are ordered by offset. `stats` may be null.
 class Verifier {
  public:
-  /// `prefix` must be built over `series`; it supplies O(1) µ_S / σ_S.
+  /// `prefix` must be a view of `series`; it supplies O(1) µ_S / σ_S to
+  /// normalized (cNSM) queries, which build its arrays on first use.
   Verifier(const TimeSeries& series, const PrefixStats& prefix);
 
   /// Cancellable form: appends matches to `*results` in offset order and

@@ -11,7 +11,7 @@ std::string DataNs(const std::string& ns) { return ns + "data/"; }
 
 Status Session::FinishInit(Options options) {
   (void)options;
-  prefix_ = PrefixStats(series_);
+  prefix_ = PrefixStats(series_);  // a view: arrays are built on first use
   index_ptrs_.clear();
   for (const auto& index : indexes_) index_ptrs_.push_back(&index);
   matcher_ = std::make_unique<KvMatchDp>(series_, prefix_, index_ptrs_);
@@ -99,9 +99,10 @@ uint64_t Session::IndexBytes() const {
 }
 
 uint64_t Session::MemoryBytes() const {
-  // Series values + the two prefix-sum arrays (n + 1 doubles each).
+  // Series values, plus the two prefix-sum arrays (n + 1 doubles each)
+  // once the first cNSM query has built them.
   uint64_t bytes = 8 * static_cast<uint64_t>(series_.size());
-  bytes += 16 * static_cast<uint64_t>(series_.size() + 1);
+  bytes += prefix_.MemoryBytes();
   bytes += IndexBytes();
   // For store-backed indexes IndexBytes is meta-only; the warmed row
   // caches are the dominant resident state, so count them too.

@@ -6,9 +6,11 @@
 // Owns everything: the series, its prefix-stat oracle, the KV-index stack
 // and (optionally) the backing KvStore. Cheap to query repeatedly.
 //
-// Once constructed, queries are const and touch only immutable state plus
-// the internally synchronized index row caches, so a session can serve any
-// number of threads concurrently (the QueryService relies on this).
+// Once constructed, queries are const and touch only immutable state, the
+// internally synchronized index row caches, and the window statistics,
+// which the first cNSM query builds once (concurrent first queries wait
+// for that one build and share it). So a session can serve any number of
+// threads concurrently (the QueryService relies on this).
 #ifndef KVMATCH_MATCHDP_SESSION_H_
 #define KVMATCH_MATCHDP_SESSION_H_
 
@@ -101,15 +103,17 @@ class Session {
   size_t num_indexes() const { return indexes_.size(); }
   /// Total encoded bytes across the index stack (in-memory form only).
   uint64_t IndexBytes() const;
-  /// Approximate resident bytes of this session: series values, prefix
-  /// sums, and the index stack (meta only for store-backed indexes).
-  /// Drives the Catalog's eviction budget.
+  /// Approximate resident bytes of this session: 8 per point of series
+  /// values, the index stack (meta only for store-backed indexes) and its
+  /// warmed row caches, plus 16 · (n + 1) for the prefix sums once a cNSM
+  /// query has built them. Grows as queries run; drives the Catalog's
+  /// eviction budget, which re-measures on every Acquire.
   uint64_t MemoryBytes() const;
 
  private:
   Session() = default;
 
-  Status FinishInit(Options options);  // builds prefix stats + matcher
+  Status FinishInit(Options options);  // binds prefix stats + matcher
 
   TimeSeries series_;
   PrefixStats prefix_;

@@ -123,27 +123,11 @@ void LocalHandler::HandleQuery(
     return;
   }
   QueryRequest request = std::move(wire_request.request);
+  // A by-reference window is cut by the worker from the session it
+  // acquires: the loop thread never opens a session.
   if (wire_request.by_reference) {
-    auto session = catalog_->Acquire(request.series);
-    if (!session.ok()) {
-      transport.SendError(conn, id, session.status());
-      return;
-    }
-    const size_t series_len = (*session)->series().size();
-    const uint64_t offset = wire_request.ref_offset;
-    const uint64_t length = wire_request.ref_length;
-    if (length == 0 || offset > series_len ||
-        length > series_len - offset) {
-      transport.SendError(conn, id,
-                          Status::InvalidArgument(
-                              "query reference [" + std::to_string(offset) +
-                              ", +" + std::to_string(length) +
-                              ") is outside '" + request.series + "'"));
-      return;
-    }
-    const auto span = (*session)->series().Subsequence(
-        static_cast<size_t>(offset), static_cast<size_t>(length));
-    request.query.assign(span.begin(), span.end());
+    request.reference = QueryRequest::Window{wire_request.ref_offset,
+                                             wire_request.ref_length};
   }
 
   // Deadline re-anchoring: the wire carries the REMAINING budget as of

@@ -716,6 +716,14 @@ Status Catalog::DropSeries(const std::string& name) {
 
 Result<std::shared_ptr<const Session>> Catalog::Acquire(
     const std::string& name) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (open_.count(name) > 0) return TouchLocked(name);
+  }
+  // A miss opens outside mu_, one series at a time: concurrent misses on
+  // one series wait here and then find the first one's session cached,
+  // and the freed arrays of sessions opened side by side never pile up.
+  std::lock_guard<std::mutex> opening(open_mu_);
   for (;;) {
     Session::Options layout;
     uint64_t epoch = 0;
@@ -730,9 +738,6 @@ Result<std::shared_ptr<const Session>> Catalog::Acquire(
       epoch = dir->second.epoch;
     }
 
-    // Open outside the lock; a racing thread may open the same series
-    // concurrently — the loser's copy is discarded below, which only
-    // wastes work, never correctness.
     auto session = Session::Open(store_, SeriesNs(name, epoch), layout);
 
     std::lock_guard<std::mutex> lock(mu_);
@@ -742,6 +747,7 @@ Result<std::shared_ptr<const Session>> Catalog::Acquire(
     }
     if (dir->second.epoch != epoch) continue;  // superseded: reopen fresh
     if (!session.ok()) return session.status();
+    // A commit may have installed the new epoch's session meanwhile.
     if (open_.count(name) > 0) return TouchLocked(name);
     return CacheLocked(name, WrapSession(handles_.at(name),
                                          std::move(session).value()));

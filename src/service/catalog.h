@@ -347,6 +347,9 @@ class Catalog {
   /// reused, even across drops and restarts.
   uint64_t next_epoch_ = 0;
 
+  /// Held across a session open: Acquire opens one series at a time.
+  /// Taken before mu_, never under it.
+  std::mutex open_mu_;
   mutable std::mutex mu_;
   std::map<std::string, DirEntry> directory_;  // registered series
   std::map<std::string, std::shared_ptr<NsHandle>> handles_;       // epoch

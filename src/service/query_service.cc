@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -35,6 +36,21 @@ std::chrono::steady_clock::time_point ComputeDeadline(
 
 bool HasDeadline(std::chrono::steady_clock::time_point deadline) {
   return deadline != std::chrono::steady_clock::time_point::max();
+}
+
+/// Q: the request's own values, or its by-reference window of `session`.
+Result<std::span<const double>> QueryValues(const QueryRequest& request,
+                                            const Session& session) {
+  if (!request.reference.has_value()) return std::span(request.query);
+  const uint64_t series_len = session.series().size();
+  const auto [offset, length] = *request.reference;
+  if (length == 0 || offset > series_len || length > series_len - offset) {
+    return Status::InvalidArgument(
+        "query reference [" + std::to_string(offset) + ", +" +
+        std::to_string(length) + ") is outside '" + request.series + "'");
+  }
+  return session.series().Subsequence(static_cast<size_t>(offset),
+                                      static_cast<size_t>(length));
 }
 
 /// Shared state of one request's fanned-out verify phase. Slice indices
@@ -318,14 +334,16 @@ QueryResponse QueryService::Execute(
   ctx.trace = response.trace.get();
 
   Result<std::vector<MatchResult>> matches = std::vector<MatchResult>{};
-  if (request.top_k > 0) {
+  const auto q = QueryValues(request, **session);
+  if (!q.ok()) {
+    matches = q.status();
+  } else if (request.top_k > 0) {
     // Top-k rides the single-shot wrapper: each ε-round is cancellable at
     // its own probe/slice checkpoints.
-    matches = (*session)->QueryTopK(request.query, request.params,
-                                    request.top_k, request.topk_options, ctx);
+    matches = (*session)->QueryTopK(*q, request.params, request.top_k,
+                                    request.topk_options, ctx);
   } else {
-    auto executor =
-        (*session)->MakeExecutor(request.query, request.params);
+    auto executor = (*session)->MakeExecutor(*q, request.params);
     if (!executor.ok()) {
       matches = executor.status();
     } else {

@@ -30,6 +30,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,19 @@
 namespace kvmatch {
 
 struct QueryRequest {
+  /// A window of the queried series, [offset, offset + length).
+  struct Window {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
   std::string series;         // catalog name to query
   std::vector<double> query;  // Q, |Q| >= wu
+  /// By-reference Q: when set, `query` is ignored and Q is this window of
+  /// the session the worker acquires, so the window and the answer come
+  /// from one snapshot. An empty or out-of-range window fails with
+  /// InvalidArgument.
+  std::optional<Window> reference;
   QueryParams params;
   /// 0 → ε-match with params.epsilon; > 0 → best-k search (params.epsilon
   /// ignored, ε expands internally).

@@ -5,25 +5,33 @@
 
 namespace kvmatch {
 
-PrefixStats::PrefixStats(const TimeSeries& series) {
-  Build(std::span<const double>(series.values()));
+PrefixStats::PrefixStats(std::span<const double> values)
+    : values_(values), arrays_(std::make_unique<Arrays>()) {}
+
+const PrefixStats::Arrays& PrefixStats::Built() const {
+  Arrays& a = *arrays_;
+  std::call_once(a.once, [&] {
+    const size_t n = values_.size();
+    a.sum.assign(n + 1, 0.0);
+    a.sq.assign(n + 1, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      a.sum[i + 1] = a.sum[i] + values_[i];
+      a.sq[i + 1] = a.sq[i] + values_[i] * values_[i];
+    }
+    a.built.store(true);
+  });
+  return a;
 }
 
-PrefixStats::PrefixStats(std::span<const double> values) { Build(values); }
-
-void PrefixStats::Build(std::span<const double> values) {
-  const size_t n = values.size();
-  sum_.assign(n + 1, 0.0);
-  sq_.assign(n + 1, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    sum_[i + 1] = sum_[i] + values[i];
-    sq_[i + 1] = sq_[i] + values[i] * values[i];
-  }
+uint64_t PrefixStats::MemoryBytes() const {
+  if (!arrays_->built.load()) return 0;
+  return 16 * static_cast<uint64_t>(values_.size() + 1);
 }
 
 double PrefixStats::WindowMean(size_t offset, size_t len) const {
   if (len == 0) return 0.0;
-  return (sum_[offset + len] - sum_[offset]) / static_cast<double>(len);
+  const Arrays& a = Built();
+  return (a.sum[offset + len] - a.sum[offset]) / static_cast<double>(len);
 }
 
 double PrefixStats::WindowStd(size_t offset, size_t len) const {
@@ -33,9 +41,10 @@ double PrefixStats::WindowStd(size_t offset, size_t len) const {
 MeanStd PrefixStats::WindowMeanStd(size_t offset, size_t len) const {
   MeanStd out;
   if (len == 0) return out;
+  const Arrays& a = Built();
   const double n = static_cast<double>(len);
-  out.mean = (sum_[offset + len] - sum_[offset]) / n;
-  const double mean_sq = (sq_[offset + len] - sq_[offset]) / n;
+  out.mean = (a.sum[offset + len] - a.sum[offset]) / n;
+  const double mean_sq = (a.sq[offset + len] - a.sq[offset]) / n;
   out.std = std::sqrt(std::max(0.0, mean_sq - out.mean * out.mean));
   return out;
 }
@@ -44,10 +53,11 @@ std::vector<double> PrefixStats::SlidingMeans(size_t w) const {
   std::vector<double> out;
   const size_t n = series_length();
   if (w == 0 || n < w) return out;
+  const std::vector<double>& sum = Built().sum;
   out.reserve(n - w + 1);
   const double inv = 1.0 / static_cast<double>(w);
   for (size_t i = 0; i + w <= n; ++i) {
-    out.push_back((sum_[i + w] - sum_[i]) * inv);
+    out.push_back((sum[i + w] - sum[i]) * inv);
   }
   return out;
 }

@@ -488,6 +488,10 @@ TEST(CoordFederationTest, PatternRejectsByReferenceQueries) {
   auto fed = (*client)->FederatedQuery(wire);
   ASSERT_TRUE(fed.ok()) << fed.status().ToString();
   EXPECT_TRUE(fed->status.IsInvalidArgument()) << fed->status.ToString();
+  // One rule, one wire form: the rejection is a kFederatedResponse, which
+  // names the cluster's shards, not a bare kError frame.
+  EXPECT_EQ(fed->shards_total, kClusterShards);
+  EXPECT_TRUE(fed->groups.empty());
 
   // The connection survives the rejection.
   EXPECT_TRUE((*client)->Ping().ok());

@@ -26,6 +26,7 @@
 #include "common/crc32c.h"
 #include "common/event_log.h"
 #include "common/rng.h"
+#include "latched_kvstore.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -722,6 +723,70 @@ TEST(NetServerTest, ByReferenceQueryEqualsLiteralQuery) {
   ASSERT_TRUE(bad_response.ok());
   EXPECT_TRUE(bad_response->status.IsInvalidArgument())
       << bad_response->status.ToString();
+}
+
+// A by-reference query is resolved by the worker that runs it, so a cold
+// session open never blocks the event loop: while one connection's open
+// is stalled in the store, another connection's query on a warm series
+// still answers. (When the loop resolved references itself, the stalled
+// open held every connection.)
+TEST(NetServerTest, ColdOpenDoesNotStallOtherConnections) {
+  MemKvStore base;
+  IngestFixture(&base);
+  LatchedKvStore store(&base);
+  Catalog::Options copts;
+  copts.session = SmallOptions();
+  Catalog catalog(&store, copts);
+  QueryService service(&catalog, QueryService::Options{.num_threads = 2});
+  Server::Options nopts;
+  nopts.port = 0;
+  Server server(&catalog, &service, nopts);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(catalog.Acquire("s0").ok());  // warm
+  store.Arm("series/s1/");                  // s1 opens stall
+
+  auto cold = Client::Connect("127.0.0.1", server.port());
+  auto warm = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(cold.ok() && warm.ok());
+  WireQueryRequest by_ref;
+  by_ref.request.series = "s1";
+  by_ref.request.params.epsilon = 3.0;
+  by_ref.by_reference = true;
+  by_ref.ref_offset = 500;
+  by_ref.ref_length = 128;
+  auto cold_id = (*cold)->SendRequest(by_ref);
+  ASSERT_TRUE(cold_id.ok());
+  ASSERT_TRUE(store.WaitForStalled(1, 5000.0)) << "s1 open never started";
+
+  by_ref.request.series = "s0";
+  (*warm)->set_wait_timeout_ms(5000.0);
+  auto warm_id = (*warm)->SendRequest(by_ref);
+  ASSERT_TRUE(warm_id.ok());
+  auto warm_response = (*warm)->WaitResponse(*warm_id);
+  store.Release();
+  ASSERT_TRUE(warm_response.ok()) << warm_response.status().ToString();
+  ASSERT_TRUE(warm_response->status.ok())
+      << warm_response->status.ToString();
+  EXPECT_FALSE(warm_response->matches.empty());
+
+  auto cold_response = (*cold)->WaitResponse(*cold_id);
+  ASSERT_TRUE(cold_response.ok()) << cold_response.status().ToString();
+  ASSERT_TRUE(cold_response->status.ok())
+      << cold_response->status.ToString();
+  EXPECT_FALSE(cold_response->matches.empty());
+
+  // The out-of-range text is the one the loop thread used to send.
+  by_ref.ref_offset = kSeriesLen;
+  auto bad_id = (*warm)->SendRequest(by_ref);
+  ASSERT_TRUE(bad_id.ok());
+  auto bad = (*warm)->WaitResponse(*bad_id);
+  ASSERT_TRUE(bad.ok());
+  EXPECT_TRUE(bad->status.IsInvalidArgument());
+  EXPECT_NE(bad->status.ToString().find(
+                "query reference [3000, +128) is outside 's0'"),
+            std::string::npos)
+      << bad->status.ToString();
+  server.Stop();
 }
 
 TEST(NetServerTest, TypedErrorsTravelTheWire) {

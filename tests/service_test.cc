@@ -9,9 +9,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "latched_kvstore.h"
 #include "service/catalog.h"
 #include "service/query_service.h"
 #include "storage/mem_kvstore.h"
@@ -201,6 +203,38 @@ TEST(CatalogTest, EvictsColdSessionsUnderMemoryBudget) {
 
   // The budget never evicts the most recently used entry.
   EXPECT_GE(catalog.cached_sessions(), 1u);
+}
+
+TEST(CatalogTest, ConcurrentMissesShareOneOpen) {
+  MemKvStore base;
+  IngestFixture(&base);
+  LatchedKvStore store(&base);
+  Catalog::Options copts;
+  copts.session = SmallOptions();
+  Catalog catalog(&store, copts);
+  store.Arm("series/s1/");
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::shared_ptr<const Session>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto session = catalog.Acquire("s1");
+      if (session.ok()) got[t] = *session;
+    });
+  }
+  ASSERT_TRUE(store.WaitForStalled(1, 5000.0));
+  // The other misses wait for the first open instead of starting their
+  // own: no second read ever reaches the store.
+  const bool second_open = store.WaitForStalled(2, 200.0);
+  store.Release();
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(second_open);
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(got[t], nullptr);
+    EXPECT_EQ(got[t], got[0]);
+  }
+  EXPECT_EQ(catalog.cached_sessions(), 1u);
 }
 
 TEST(QueryServiceTest, ShedsLoadWhenQueueIsFull) {

@@ -35,12 +35,12 @@ echo "=== Lower-bound cascade ablation: every configuration, same matches ==="
 KVMATCH_FORCE_SCALAR=1 ./build/bench_ablation_verifier --quick
 
 echo
-echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log tests ==="
+echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log/session tests ==="
 cmake -B build-tsan -S . -DKVMATCH_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" \
   --target service_test net_test coord_test stream_slow_test ingest_test \
            executor_test trace_test event_log_test storage_test \
-           simd_parity_test
+           simd_parity_test session_test
 ./build-tsan/service_test
 ./build-tsan/net_test
 ./build-tsan/coord_test
@@ -52,6 +52,8 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/event_log_test
 ./build-tsan/storage_test
 ./build-tsan/simd_parity_test
+# Concurrent first cNSM queries share one build of the window statistics.
+./build-tsan/session_test
 
 echo
 echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify + DTW ==="
@@ -60,7 +62,7 @@ cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test stream_slow_test \
            ingest_test executor_test trace_test event_log_test \
            fault_kvstore_test simd_parity_test baseline_test verifier_test \
-           distance_test match_property_test
+           distance_test match_property_test session_test
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -81,6 +83,7 @@ KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
 # only the band: the bitwise DP test and the match properties cover it.
 ./build-asan/distance_test
 ./build-asan/match_property_test
+./build-asan/session_test
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
