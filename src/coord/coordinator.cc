@@ -60,7 +60,7 @@ net::FederatedResponse Coordinator::ExecutePattern(
   const auto t0 = std::chrono::steady_clock::now();
   net::FederatedResponse fed;
   fed.shards_total = static_cast<uint32_t>(map_.num_shards());
-  if (request.by_reference) {
+  if (request.Reference().has_value()) {
     fed.status = Status::InvalidArgument(
         "pattern queries require literal query values: a by-reference "
         "query has no single owner shard to resolve the reference");

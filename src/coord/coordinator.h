@@ -62,8 +62,8 @@ class Coordinator {
 
   /// Pattern query: plan over the shards' catalogs, scatter one batch
   /// per shard, merge per the contract above. Requires literal query
-  /// values (by_reference is rejected — a pattern has no single owner to
-  /// resolve the reference against).
+  /// values (a by-reference window is rejected — a pattern has no single
+  /// owner to resolve the reference against).
   net::FederatedResponse ExecutePattern(
       const net::WireQueryRequest& request,
       const std::shared_ptr<CancelToken>& cancel);

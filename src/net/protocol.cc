@@ -191,10 +191,11 @@ void EncodeQueryRequestBody(const WireQueryRequest& wire_request,
   PutVarint64(body, r.topk_options.exclusion_zone);
   PutDouble(body, r.timeout_ms);
   body->push_back(r.collect_trace ? 1 : 0);
-  body->push_back(wire_request.by_reference ? 1 : 0);
-  if (wire_request.by_reference) {
-    PutVarint64(body, wire_request.ref_offset);
-    PutVarint64(body, wire_request.ref_length);
+  const auto reference = wire_request.Reference();
+  body->push_back(reference.has_value() ? 1 : 0);
+  if (reference.has_value()) {
+    PutVarint64(body, reference->offset);
+    PutVarint64(body, reference->length);
   } else {
     PutVarint64(body, r.query.size());
     for (double v : r.query) PutDouble(body, v);

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -95,12 +96,19 @@ struct Frame {
 
 /// A QueryRequest as it travels on the wire: either the literal query
 /// values (request.query) or a by-reference (offset, length) window into
-/// the named series, resolved server-side.
+/// the named series, resolved server-side. The window may be given by the
+/// three fields below or by request.reference; Reference() reads either,
+/// and the fields win when both are set.
 struct WireQueryRequest {
   QueryRequest request;
   bool by_reference = false;
   uint64_t ref_offset = 0;
   uint64_t ref_length = 0;
+
+  std::optional<QueryRequest::Window> Reference() const {
+    if (by_reference) return QueryRequest::Window{ref_offset, ref_length};
+    return request.reference;
+  }
 };
 
 /// One row of a kListResponse.

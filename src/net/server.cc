@@ -122,13 +122,10 @@ void LocalHandler::HandleQuery(
     transport.SendProtocolError(conn, id, st);
     return;
   }
-  QueryRequest request = std::move(wire_request.request);
   // A by-reference window is cut by the worker from the session it
   // acquires: the loop thread never opens a session.
-  if (wire_request.by_reference) {
-    request.reference = QueryRequest::Window{wire_request.ref_offset,
-                                             wire_request.ref_length};
-  }
+  QueryRequest request = std::move(wire_request.request);
+  request.reference = wire_request.Reference();
 
   // Deadline re-anchoring: the wire carries the REMAINING budget as of
   // the sender's send instant, so time spent on the wire and waiting in

@@ -716,38 +716,44 @@ Status Catalog::DropSeries(const std::string& name) {
 
 Result<std::shared_ptr<const Session>> Catalog::Acquire(
     const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (open_.count(name) > 0) return TouchLocked(name);
-  }
-  // A miss opens outside mu_, one series at a time: concurrent misses on
-  // one series wait here and then find the first one's session cached,
-  // and the freed arrays of sessions opened side by side never pile up.
-  std::lock_guard<std::mutex> opening(open_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  // A miss opens outside mu_. Concurrent misses on one series share one
+  // open: the later ones wait for the first, then find its session
+  // cached (or, if it failed, open again). Other series open side by side.
   for (;;) {
-    Session::Options layout;
-    uint64_t epoch = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (open_.count(name) > 0) return TouchLocked(name);
-      auto dir = directory_.find(name);
-      if (dir == directory_.end()) {
-        return Status::NotFound("unknown series: " + name);
-      }
-      layout = dir->second.layout;
-      epoch = dir->second.epoch;
+    if (open_.count(name) > 0) return TouchLocked(name);
+    if (opening_.count(name) == 0) break;
+    opened_cv_.wait(lock);
+  }
+  opening_.insert(name);
+  auto session = OpenAndCacheLocked(name, lock);
+  opening_.erase(name);
+  opened_cv_.notify_all();
+  return session;
+}
+
+Result<std::shared_ptr<const Session>> Catalog::OpenAndCacheLocked(
+    const std::string& name, std::unique_lock<std::mutex>& lock) {
+  for (;;) {
+    // A commit may have installed the new epoch's session meanwhile.
+    if (open_.count(name) > 0) return TouchLocked(name);
+    auto dir = directory_.find(name);
+    if (dir == directory_.end()) {
+      return Status::NotFound("unknown series: " + name);
     }
+    const Session::Options layout = dir->second.layout;
+    const uint64_t epoch = dir->second.epoch;
+    lock.unlock();
 
     auto session = Session::Open(store_, SeriesNs(name, epoch), layout);
 
-    std::lock_guard<std::mutex> lock(mu_);
-    auto dir = directory_.find(name);
+    lock.lock();
+    dir = directory_.find(name);
     if (dir == directory_.end()) {
       return Status::NotFound("unknown series: " + name);  // dropped
     }
     if (dir->second.epoch != epoch) continue;  // superseded: reopen fresh
     if (!session.ok()) return session.status();
-    // A commit may have installed the new epoch's session meanwhile.
     if (open_.count(name) > 0) return TouchLocked(name);
     return CacheLocked(name, WrapSession(handles_.at(name),
                                          std::move(session).value()));

@@ -56,9 +56,11 @@
 #ifndef KVMATCH_SERVICE_CATALOG_H_
 #define KVMATCH_SERVICE_CATALOG_H_
 
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -162,7 +164,9 @@ class Catalog {
 
   /// Returns the (shared, immutable) session for `name`'s current epoch,
   /// opening it from the store if it is not cached. Safe from any number
-  /// of threads, including concurrently with the write path.
+  /// of threads, including concurrently with the write path. Concurrent
+  /// misses on one series share one open; misses on different series
+  /// open side by side.
   Result<std::shared_ptr<const Session>> Acquire(const std::string& name);
 
   bool Contains(const std::string& name) const;
@@ -306,6 +310,12 @@ class Catalog {
   /// restored or removed directory rows' targets).
   void SweepOrphans();
 
+  /// Opens `name`'s current epoch with `lock` (on mu_) released around
+  /// the store reads, then caches it, reopening if a commit superseded
+  /// the epoch meanwhile. `lock` holds mu_ on entry and on return.
+  Result<std::shared_ptr<const Session>> OpenAndCacheLocked(
+      const std::string& name, std::unique_lock<std::mutex>& lock);
+
   /// Caches `session` for `name` and evicts LRU entries over budget.
   /// Returns the cached pointer. Caller must hold mu_.
   std::shared_ptr<const Session> CacheLocked(
@@ -347,10 +357,11 @@ class Catalog {
   /// reused, even across drops and restarts.
   uint64_t next_epoch_ = 0;
 
-  /// Held across a session open: Acquire opens one series at a time.
-  /// Taken before mu_, never under it.
-  std::mutex open_mu_;
   mutable std::mutex mu_;
+  /// Series whose session an Acquire is opening outside mu_; a second
+  /// miss on one of them waits on opened_cv_ instead of opening again.
+  std::set<std::string> opening_;
+  std::condition_variable opened_cv_;
   std::map<std::string, DirEntry> directory_;  // registered series
   std::map<std::string, std::shared_ptr<NsHandle>> handles_;       // epoch
   std::map<std::string, std::shared_ptr<NsHandle>> data_handles_;  // d<G>

@@ -32,8 +32,11 @@ class PrefixStats {
   PrefixStats() : PrefixStats(std::span<const double>()) {}
   explicit PrefixStats(const TimeSeries& series)
       : PrefixStats(std::span<const double>(series.values())) {}
+  /// `values` must outlive the oracle: the arrays are built from it on
+  /// first use, possibly long after construction. A span of a temporary
+  /// vector compiles but dangles; name the vector first.
   explicit PrefixStats(std::span<const double> values);
-  /// A view of a temporary would dangle.
+  /// A view of a temporary series would dangle.
   explicit PrefixStats(TimeSeries&&) = delete;
 
   size_t series_length() const { return values_.size(); }

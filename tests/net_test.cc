@@ -150,6 +150,32 @@ TEST(ProtocolTest, QueryRequestRoundTripsLiteralAndReference) {
   }
 }
 
+// An in-process QueryRequest::reference travels as the by-reference wire
+// form, not as an empty literal query.
+TEST(ProtocolTest, InProcessReferenceTravelsByReference) {
+  WireQueryRequest in;
+  in.request.series = "s0";
+  in.request.reference = QueryRequest::Window{700, 128};
+  std::string body;
+  EncodeQueryRequestBody(in, &body);
+  WireQueryRequest out;
+  ASSERT_TRUE(DecodeQueryRequestBody(body, &out).ok());
+  EXPECT_TRUE(out.by_reference);
+  EXPECT_EQ(out.ref_offset, 700u);
+  EXPECT_EQ(out.ref_length, 128u);
+  EXPECT_TRUE(out.request.query.empty());
+
+  // The wire fields win when both are set.
+  in.by_reference = true;
+  in.ref_offset = 5;
+  in.ref_length = 64;
+  body.clear();
+  EncodeQueryRequestBody(in, &body);
+  ASSERT_TRUE(DecodeQueryRequestBody(body, &out).ok());
+  EXPECT_EQ(out.ref_offset, 5u);
+  EXPECT_EQ(out.ref_length, 64u);
+}
+
 TEST(ProtocolTest, QueryResponseRoundTrips) {
   QueryResponse in;
   in.status = Status::OK();

@@ -4,6 +4,7 @@
 // results of serial execution.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
@@ -235,6 +236,30 @@ TEST(CatalogTest, ConcurrentMissesShareOneOpen) {
     EXPECT_EQ(got[t], got[0]);
   }
   EXPECT_EQ(catalog.cached_sessions(), 1u);
+}
+
+// Sharing is per series: a cold open stalled in the store does not hold
+// up a miss on another series.
+TEST(CatalogTest, MissesOnDifferentSeriesOpenSideBySide) {
+  MemKvStore base;
+  IngestFixture(&base);
+  LatchedKvStore store(&base);
+  Catalog::Options copts;
+  copts.session = SmallOptions();
+  Catalog catalog(&store, copts);
+  store.Arm("series/s1/");
+
+  std::thread stalled([&] { EXPECT_TRUE(catalog.Acquire("s1").ok()); });
+  ASSERT_TRUE(store.WaitForStalled(1, 5000.0));
+  auto other = std::async(std::launch::async,
+                          [&] { return catalog.Acquire("s2").ok(); });
+  const bool opened =
+      other.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  store.Release();
+  stalled.join();
+  EXPECT_TRUE(opened);
+  EXPECT_TRUE(other.get());
+  EXPECT_EQ(catalog.cached_sessions(), 2u);
 }
 
 TEST(QueryServiceTest, ShedsLoadWhenQueueIsFull) {
