@@ -15,11 +15,10 @@
 // tail chunks (O(appended)), so it should stay flat as the series grows
 // while a replace pays the full O(n) rewrite.
 //
-// Also reported, from the StatsRegistry the catalog feeds: the per-commit
-// span breakdown (journal / data / index / header / flip wall time) and
-// the write amplification (encoded bytes committed per raw point byte),
-// and — last — an ingest-path A/B of Catalog::Options::instrument_storage
-// off vs on, the overhead of the per-op storage instrumentation.
+// Also reported, from the StatsRegistry the catalog feeds (the difference
+// of two snapshots around the contended phase): the per-commit span
+// breakdown (journal / data / index / header / flip wall time) and the
+// write amplification (encoded bytes committed per raw point byte).
 //
 //   ./bench_ingest_while_query [--n <points per series>] [--runs <mult>]
 //                              [--seed <s>] [--quick]
@@ -46,21 +45,23 @@ struct PhaseResult {
 
 PhaseResult RunPhase(QueryService* service,
                      const std::vector<QueryRequest>& requests, int rounds) {
-  service->ResetStats();
+  LatencyHistogram latency;
   Stopwatch sw;
   size_t ok = 0;
   for (int r = 0; r < rounds; ++r) {
     auto futures = service->SubmitBatch(requests);
     for (auto& f : futures) {
-      if (f.get().status.ok()) ++ok;
+      const QueryResponse response = f.get();
+      latency.Record(response.latency_ms);
+      if (response.status.ok()) ++ok;
     }
   }
   PhaseResult out;
   out.seconds = sw.Seconds();
   out.queries = ok;
-  const ServiceStatsSnapshot snap = service->Stats();
-  out.mean_ms = snap.latency.mean_ms;
-  out.p99_ms = snap.latency.p99_ms;
+  const LatencyHistogram::Snapshot h = latency.TakeSnapshot();
+  out.mean_ms = h.MeanMs();
+  out.p99_ms = h.Percentile(0.99);
   return out;
 }
 
@@ -134,6 +135,7 @@ int main(int argc, char** argv) {
   const PhaseResult baseline = RunPhase(&service, requests, rounds);
 
   // Phase 2: identical query load with a live writer.
+  const ServiceStatsSnapshot before = service.Stats();
   std::atomic<bool> stop{false};
   std::atomic<size_t> points_ingested{0};
   std::atomic<size_t> epochs{0};
@@ -221,104 +223,42 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Commit span breakdown, from the registry the catalog fed during the
-  // contended phase (RunPhase reset it at the phase boundary).
-  const ServiceStatsSnapshot snap = service.Stats();
-  const uint64_t commits =
-      snap.commits_create + snap.commits_append + snap.commits_replace;
+  // Commit span breakdown over the contended phase.
+  const ServiceStatsSnapshot after = service.Stats();
+  const auto delta = [&](Metric m, std::string_view label = {}) {
+    return after.Value(m, label) - before.Value(m, label);
+  };
+  const double appends = delta(Metric::kCommits, "append");
+  const double replaces = delta(Metric::kCommits, "replace");
+  const double commits = delta(Metric::kCommits, "create") + appends +
+                         replaces;
   if (commits > 0) {
-    const double stage_total = snap.commit_journal_ms + snap.commit_data_ms +
-                               snap.commit_index_ms + snap.commit_header_ms +
-                               snap.commit_flip_ms;
-    std::printf("\ncommit spans (%llu commits: %llu append, %llu replace):\n",
-                static_cast<unsigned long long>(commits),
-                static_cast<unsigned long long>(snap.commits_append),
-                static_cast<unsigned long long>(snap.commits_replace));
+    const char* stages[] = {"journal", "data", "index", "header", "flip"};
+    double stage_total = 0.0;
+    for (const char* stage : stages) {
+      stage_total += delta(Metric::kCommitStageMs, stage);
+    }
+    std::printf("\ncommit spans (%.0f commits: %.0f append, %.0f replace):\n",
+                commits, appends, replaces);
     TablePrinter spans({"Stage", "Total (ms)", "Mean (ms)", "Share"});
-    const auto add_stage = [&](const char* name, double total) {
-      spans.AddRow({name, TablePrinter::Fmt(total, 1),
+    for (const char* stage : stages) {
+      const double total = delta(Metric::kCommitStageMs, stage);
+      spans.AddRow({stage, TablePrinter::Fmt(total, 1),
                     TablePrinter::Fmt(total / commits, 3),
                     TablePrinter::Fmt(
                         stage_total > 0.0 ? 100.0 * total / stage_total : 0.0,
                         1) + "%"});
-    };
-    add_stage("journal", snap.commit_journal_ms);
-    add_stage("data", snap.commit_data_ms);
-    add_stage("index", snap.commit_index_ms);
-    add_stage("header", snap.commit_header_ms);
-    add_stage("flip", snap.commit_flip_ms);
+    }
     spans.Print();
-    const uint64_t raw_bytes = 8ull * points_ingested.load();
+    const double raw_bytes = 8.0 * static_cast<double>(points_ingested.load());
+    const double commit_bytes = delta(Metric::kCommitBytes);
     if (raw_bytes > 0) {
-      std::printf("write amplification: %.2fx (%llu committed bytes / "
-                  "%llu raw point bytes; %llu chunk rows, %llu index rows)\n",
-                  static_cast<double>(snap.commit_bytes) / raw_bytes,
-                  static_cast<unsigned long long>(snap.commit_bytes),
-                  static_cast<unsigned long long>(raw_bytes),
-                  static_cast<unsigned long long>(snap.commit_chunk_rows),
-                  static_cast<unsigned long long>(snap.commit_index_rows));
+      std::printf("write amplification: %.2fx (%.0f committed bytes / "
+                  "%.0f raw point bytes; %.0f chunk rows, %.0f index rows)\n",
+                  commit_bytes / raw_bytes, commit_bytes, raw_bytes,
+                  delta(Metric::kCommitChunkRows),
+                  delta(Metric::kCommitIndexRows));
     }
   }
-
-  // Instrumentation overhead A/B: the same append stream into a fresh
-  // catalog, storage instrumentation off vs on. Chunks are pre-generated
-  // so the loop times only the write path.
-  const size_t overhead_appends = flags.quick ? 6 : 16;
-  const size_t overhead_rounds = flags.quick ? 3 : 5;
-  double pps[2] = {0.0, 0.0};
-  const auto run_once = [&](bool instrumented) -> double {
-    MemKvStore plain;
-    Catalog::Options copts;
-    copts.instrument_storage = instrumented;
-    Catalog bench_catalog(&plain, copts);
-    Rng brng(flags.seed + 1234);  // same seed both ways: identical bytes
-    if (!bench_catalog
-             .CreateSeries("w", GenerateUcrLike(per_series, &brng))
-             .ok()) {
-      return -1.0;
-    }
-    std::vector<TimeSeries> chunks;
-    for (size_t i = 0; i <= overhead_appends; ++i) {
-      chunks.push_back(GenerateUcrLike(append_chunk, &brng));
-    }
-    // One untimed warmup append so allocator/page-cache warmup lands
-    // outside the measurement.
-    if (!bench_catalog.AppendSeries("w", chunks.back().values()).ok()) {
-      return -1.0;
-    }
-    chunks.pop_back();
-    Stopwatch sw;
-    for (const auto& chunk : chunks) {
-      if (!bench_catalog.AppendSeries("w", chunk.values()).ok()) {
-        return -1.0;
-      }
-    }
-    const double secs = sw.Seconds();
-    return secs > 0.0
-               ? static_cast<double>(overhead_appends * append_chunk) / secs
-               : 0.0;
-  };
-  // Alternate configurations across rounds and keep each one's best rate,
-  // so process warmup and scheduler noise don't bias whichever side runs
-  // first; best-of-N is the standard noise filter for a rate.
-  for (size_t round = 0; round < overhead_rounds; ++round) {
-    for (int instrumented = 0; instrumented <= 1; ++instrumented) {
-      const double rate = run_once(instrumented == 1);
-      if (rate < 0.0) {
-        std::fprintf(stderr, "overhead run failed\n");
-        return 1;
-      }
-      if (rate > pps[instrumented]) pps[instrumented] = rate;
-    }
-  }
-  std::printf("\ninstrumentation overhead (%zu appends x %zu points):\n",
-              overhead_appends, append_chunk);
-  TablePrinter overhead({"Instrumentation", "Points/s", "Overhead"});
-  overhead.AddRow({"off", TablePrinter::Fmt(pps[0], 0), "-"});
-  overhead.AddRow(
-      {"on", TablePrinter::Fmt(pps[1], 0),
-       TablePrinter::Fmt(
-           pps[1] > 0.0 ? 100.0 * (pps[0] / pps[1] - 1.0) : 0.0, 1) + "%"});
-  overhead.Print();
   return 0;
 }

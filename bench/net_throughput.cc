@@ -190,7 +190,8 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
          TablePrinter::Fmt(static_cast<double>(total) / seconds, 1),
          TablePrinter::Fmt(
              baseline_seconds > 0.0 ? baseline_seconds / seconds : 0.0, 2),
-         TablePrinter::Fmt(snap.latency.p99_ms, 2)});
+         TablePrinter::Fmt(
+             Summarize(snap.Histogram(Metric::kQueryLatency)).p99_ms, 2)});
     if (failed > 0) {
       std::fprintf(stderr, "error: %zu queries failed at %zu shards\n",
                    failed, num_shards);
@@ -368,7 +369,6 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
     }
 
     // One active client measured against the parked fleet.
-    service.ResetStats();
     auto client = net::Client::Connect("127.0.0.1", server.port());
     if (!client.ok()) {
       std::fprintf(stderr, "client: %s\n",
@@ -542,7 +542,7 @@ int main(int argc, char** argv) {
       {"Clients", "Queries", "Seconds", "QPS", "Speedup", "p99 (ms)"});
   double baseline_seconds = 0.0;
   for (size_t clients : {1u, 2u, 4u, 8u}) {
-    service.ResetStats();
+    LatencyHistogram latency;  // server-side, this client count only
     std::vector<std::thread> threads;
     std::vector<size_t> errors(clients, 0);
     Stopwatch sw;
@@ -576,7 +576,11 @@ int main(int argc, char** argv) {
         }
         for (uint64_t id : ids) {
           auto response = (*client)->WaitResponse(id);
-          if (!response.ok() || !response->status.ok()) errors[c] += 1;
+          if (!response.ok() || !response->status.ok()) {
+            errors[c] += 1;
+            continue;
+          }
+          latency.Record(response->latency_ms);
         }
       });
     }
@@ -587,7 +591,6 @@ int main(int argc, char** argv) {
     size_t failed = 0;
     for (size_t e : errors) failed += e;
     const size_t total = clients * batch - failed;
-    const ServiceStatsSnapshot snap = service.Stats();
     table.AddRow({TablePrinter::FmtInt(clients), TablePrinter::FmtInt(total),
                   TablePrinter::Fmt(seconds, 2),
                   TablePrinter::Fmt(static_cast<double>(total) / seconds, 1),
@@ -597,7 +600,8 @@ int main(int argc, char** argv) {
                                 seconds
                           : 0.0,
                       2),
-                  TablePrinter::Fmt(snap.latency.p99_ms, 2)});
+                  TablePrinter::Fmt(latency.TakeSnapshot().Percentile(0.99),
+                                    2)});
     if (failed > 0) {
       std::fprintf(stderr, "warning: %zu queries failed at %zu clients\n",
                    failed, clients);

@@ -96,14 +96,15 @@ int main(int argc, char** argv) {
     }
     if (threads == 1) base_seconds = seconds;
 
-    const ServiceStatsSnapshot snap = service.Stats();
+    const LatencySummary latency =
+        Summarize(service.Stats().Histogram(Metric::kQueryLatency));
     table.AddRow({TablePrinter::FmtInt(threads),
                   TablePrinter::FmtInt(batch),
                   TablePrinter::Fmt(seconds, 2),
                   TablePrinter::Fmt(static_cast<double>(batch) / seconds, 1),
                   TablePrinter::Fmt(base_seconds / seconds, 2),
-                  TablePrinter::Fmt(snap.latency.mean_ms, 2),
-                  TablePrinter::Fmt(snap.latency.p99_ms, 2)});
+                  TablePrinter::Fmt(latency.mean_ms, 2),
+                  TablePrinter::Fmt(latency.p99_ms, 2)});
   }
   table.Print();
   std::printf("\nnote: speedup is bounded by available cores "

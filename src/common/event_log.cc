@@ -136,10 +136,4 @@ uint64_t EventLog::TotalEvents() const {
   return total_;
 }
 
-void EventLog::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_ = 0;
-  counts_.clear();
-}
-
 }  // namespace kvmatch

@@ -15,8 +15,7 @@
 //     whose beginning predates anyone watching.
 //
 // Counters by event type feed the Prometheus exposition
-// (kvmatch_events_total{type="..."}); ResetCounters() rebases them for
-// `stats --watch` deltas without erasing the flight recorder.
+// (kvmatch_events_total{type="..."}); they never reset.
 //
 // Thread-safe: events come from ingest commits, purge-on-release threads
 // and compactions concurrently. Emission takes a plain mutex — events are
@@ -109,17 +108,11 @@ class EventLog {
   /// string when no events were recorded).
   std::string DumpJsonLines() const;
 
-  /// Per-type emission counts since construction or the last
-  /// ResetCounters(), sorted by type.
+  /// Per-type emission counts since construction, sorted by type.
   std::vector<std::pair<std::string, uint64_t>> CountsByType() const;
 
-  /// Total events since construction or the last ResetCounters().
+  /// Total events since construction.
   uint64_t TotalEvents() const;
-
-  /// Rebases the counters (stats --watch deltas). The flight-recorder
-  /// ring and its sequence numbers are preserved: a stats rebase must not
-  /// erase the incident history.
-  void ResetCounters();
 
   size_t ring_capacity() const { return ring_capacity_; }
 
@@ -130,7 +123,7 @@ class EventLog {
   std::function<void(const std::string&)> sink_;
   std::vector<std::string> ring_;  // wraps at ring_capacity_
   size_t ring_next_ = 0;           // insertion slot once the ring is full
-  uint64_t next_seq_ = 0;          // monotonic, survives ResetCounters
+  uint64_t next_seq_ = 0;          // monotonic
   uint64_t total_ = 0;
   std::map<std::string, uint64_t> counts_;
 };

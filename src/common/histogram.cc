@@ -109,17 +109,4 @@ double LatencyHistogram::Snapshot::Percentile(double q) const {
   return max_ms;
 }
 
-void LatencyHistogram::Reset() {
-  for (Stripe& s : stripes_) {
-    for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
-    s.sum_ns.store(0, std::memory_order_relaxed);
-  }
-  min_bits_.store(
-      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity()),
-      std::memory_order_relaxed);
-  max_bits_.store(
-      std::bit_cast<uint64_t>(-std::numeric_limits<double>::infinity()),
-      std::memory_order_relaxed);
-}
-
 }  // namespace kvmatch

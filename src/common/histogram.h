@@ -61,11 +61,6 @@ class LatencyHistogram {
 
   Snapshot TakeSnapshot() const;
 
-  /// Zeroes every counter. Not atomic with respect to concurrent
-  /// Record() calls — a racing sample may survive or vanish, which is
-  /// acceptable for a stats rebase.
-  void Reset();
-
  private:
   static constexpr size_t kStripes = 8;
 

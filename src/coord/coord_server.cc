@@ -20,13 +20,15 @@ CoordServer::CoordServer(ShardMap map, CoordOptions options)
       transport_(std::move(options.server), &handler_,
                  handler_.stats_registry()) {}
 
-std::string FederationHandler::StatsText(const net::Transport&) const {
-  std::string out = StatsToText(stats_.Snapshot());
+std::string FederationHandler::StatsText(
+    const net::Transport& transport) const {
+  ServiceStatsSnapshot snap = stats_.Snapshot();
+  transport.FillConnectionStats(&snap);
   for (uint32_t s = 0; s < coord_.map().num_shards(); ++s) {
-    out += "kvmatch_coord_shard_connected{shard=\"" + std::to_string(s) +
-           "\"} " + (coord_.shard(s)->connected() ? "1" : "0") + "\n";
+    snap.Add(Metric::kCoordShardConnected, std::to_string(s),
+             coord_.shard(s)->connected() ? 1.0 : 0.0);
   }
-  return out;
+  return StatsToText(snap);
 }
 
 void FederationHandler::HandleShardInfo(net::Transport& transport,
@@ -58,7 +60,7 @@ void FederationHandler::HandleQuery(
   if (token == nullptr) return;
   auto task = [this, &transport, conn, id, token, received,
                wire_request = std::move(wire_request)]() mutable {
-    stats_.RecordQueryStarted();
+    stats_.Add(Metric::kQueriesInFlight);
     // Re-anchor the deadline budget at this hop: queue wait in the
     // federation pool plus wire time is charged, never granted twice.
     wire_request.request.timeout_ms = net::RemainingBudgetMs(
@@ -68,7 +70,7 @@ void FederationHandler::HandleQuery(
     if (IsGlobPattern(series)) {
       net::FederatedResponse fed = coord_.ExecutePattern(wire_request, token);
       stats_.RecordQuery(series, fed.latency_ms, fed.stats, fed.status.ok());
-      if (fed.status.IsCancelled()) stats_.RecordCancelled(series);
+      if (fed.status.IsCancelled()) stats_.Add(Metric::kCancelled);
       net::Frame frame;
       frame.type = net::FrameType::kFederatedResponse;
       frame.request_id = id;
@@ -80,18 +82,18 @@ void FederationHandler::HandleQuery(
       QueryResponse response = coord_.ExecuteExact(wire_request, token);
       stats_.RecordQuery(series, response.latency_ms, response.stats,
                          response.status.ok());
-      if (response.status.IsCancelled()) stats_.RecordCancelled(series);
+      if (response.status.IsCancelled()) stats_.Add(Metric::kCancelled);
       // Shared encoder: the federated answer for an exact series is
       // byte-identical to the owner shard's own answer run.
       wires = transport.EncodeResponseRun(
           id, std::move(response), wire_request.request.collect_trace);
     }
-    stats_.RecordQueryFinished();
+    stats_.Add(Metric::kQueriesInFlight, -1);
     transport.CompleteRequest(conn, id, std::move(wires));
   };
   if (Status st = pool_.Submit(std::move(task)); !st.ok()) {
     // Shed load with the booking retired, same contract as the service.
-    stats_.RecordRejected();
+    stats_.Add(Metric::kRejected);
     QueryResponse shed;
     shed.status = st;
     transport.CompleteRequest(

@@ -23,7 +23,9 @@ Server::Server(Catalog* catalog, QueryService* service, Options options)
 std::string LocalHandler::StatsText(const Transport& transport) const {
   // Via QueryService::Stats() (not the registry directly) so the pool's
   // queue-depth / busy-worker gauges are populated.
-  return StatsToText(service_->Stats()) + transport.ConnectionStatsText();
+  ServiceStatsSnapshot snap = service_->Stats();
+  transport.FillConnectionStats(&snap);
+  return StatsToText(snap);
 }
 
 void LocalHandler::HandleList(Transport& transport, const ConnectionPtr& conn,

@@ -345,8 +345,7 @@ size_t Transport::ActiveConnections() const {
   return conns_.size();
 }
 
-std::string Transport::ConnectionStatsText() const {
-  std::string out;
+void Transport::FillConnectionStats(ServiceStatsSnapshot* snap) const {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (const auto& [id, conn] : conns_) {
@@ -355,21 +354,12 @@ std::string Transport::ConnectionStatsText() const {
       std::lock_guard<std::mutex> conn_lock(conn->mu);
       requests = conn->requests;
     }
-    const double age =
-        std::chrono::duration<double>(now - conn->opened).count();
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "kvmatch_connection_requests_total{conn=\"%llu\"} %llu\n"
-                  "kvmatch_connection_qps{conn=\"%llu\"} %.6g\n"
-                  "kvmatch_connection_age_seconds{conn=\"%llu\"} %.6g\n",
-                  static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(requests),
-                  static_cast<unsigned long long>(id),
-                  age > 0.0 ? static_cast<double>(requests) / age : 0.0,
-                  static_cast<unsigned long long>(id), age);
-    out.append(buf);
+    const std::string label = std::to_string(id);
+    snap->Add(Metric::kConnectionRequests, label,
+              static_cast<double>(requests));
+    snap->Add(Metric::kConnectionAge, label,
+              std::chrono::duration<double>(now - conn->opened).count());
   }
-  return out;
 }
 
 // --------------------------------------------------------------- accept
@@ -429,14 +419,15 @@ void Transport::OnAcceptable() {
       ::close(fd);
       continue;
     }
-    registry_->RecordConnectionOpened();
+    registry_->Add(Metric::kConnectionsOpen);
+    registry_->Add(Metric::kConnectionsAccepted);
   }
 }
 
 // Over-limit courtesy refusal: the error frame flushes from the loop
 // without the socket ever becoming a tracked connection.
 void Transport::RefuseConnection(int fd) {
-  registry_->RecordConnectionRejected();
+  registry_->Add(Metric::kConnectionsRejected);
   std::string body;
   EncodeErrorBody(Status::ResourceExhausted("connection limit reached"),
                   &body);
@@ -553,7 +544,7 @@ void Transport::OnReadable(const ConnectionPtr& conn) {
       }
       if (over) {
         conn->reads_paused = true;
-        registry_->RecordNetReadPaused();
+        registry_->Add(Metric::kNetReadsPaused);
         break;
       }
     }
@@ -663,7 +654,7 @@ bool Transport::HandleHttp(const ConnectionPtr& conn,
   const bool keep_alive =
       (method == "GET" || method == "HEAD") && WantsKeepAlive(head);
 
-  registry_->RecordHttpRequest();
+  registry_->Add(Metric::kHttpRequests);
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->requests += 1;
@@ -714,7 +705,7 @@ void Transport::Push(const ConnectionPtr& conn,
         conn->outbox.push_back(std::move(w));
       }
       conn->outbox_bytes += added;
-      registry_->RecordNetOutboxBytes(static_cast<int64_t>(added));
+      registry_->Add(Metric::kNetOutboxBytes, static_cast<int64_t>(added));
       conn->last_activity = std::chrono::steady_clock::now();
       // One posted flush covers back-to-back pushes.
       need_kick = !std::exchange(conn->kick_pending, true);
@@ -797,7 +788,7 @@ void Transport::FlushOutbox(const ConnectionPtr& conn) {
         }
       }
     }
-    registry_->RecordNetOutboxBytes(-n);
+    registry_->Add(Metric::kNetOutboxBytes, -n);
     flushed += static_cast<size_t>(n);
     MaybeResumeReads(conn);
 
@@ -885,14 +876,14 @@ void Transport::CloseConnection(const ConnectionPtr& conn) {
     conn->front_written = 0;
   }
   if (dropped > 0) {
-    registry_->RecordNetOutboxBytes(-static_cast<int64_t>(dropped));
+    registry_->Add(Metric::kNetOutboxBytes, -static_cast<int64_t>(dropped));
   }
   ::close(conn->fd);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.erase(conn->id);
   }
-  registry_->RecordConnectionClosed();
+  registry_->Add(Metric::kConnectionsOpen, -1);
   // A disconnect cancels the queries still in flight on it: nobody can
   // receive their answers, their compute is pure waste, and — since a
   // closed connection is no longer reachable through CancelAllInFlight —
@@ -951,7 +942,10 @@ void Transport::OnTick() {
   if (now - last_tick_ < std::chrono::milliseconds(kTickMs)) return;
   last_tick_ = now;
 
-  registry_->SetNetLoopCounters(loop_->iterations(), loop_->wakeups());
+  registry_->Set(Metric::kNetLoopIterations,
+                 static_cast<int64_t>(loop_->iterations()));
+  registry_->Set(Metric::kNetEpollWakeups,
+                 static_cast<int64_t>(loop_->wakeups()));
 
   if (accept_paused_ && !draining_) {
     // fd-exhaustion backoff over: try accepting again.
@@ -1025,7 +1019,7 @@ void Transport::SendError(const ConnectionPtr& conn, uint64_t id,
 
 void Transport::SendProtocolError(const ConnectionPtr& conn, uint64_t id,
                                   const Status& status) {
-  registry_->RecordProtocolError();
+  registry_->Add(Metric::kProtocolErrors);
   SendError(conn, id, status);
 }
 

@@ -153,9 +153,9 @@ class Transport {
   int port() const { return port_; }
   size_t ActiveConnections() const;
 
-  /// One block per live connection (requests, QPS, connection age), for
-  /// a handler's StatsText.
-  std::string ConnectionStatsText() const;
+  /// Adds each live connection's request count and age to `snap`, for a
+  /// handler's StatsText.
+  void FillConnectionStats(ServiceStatsSnapshot* snap) const;
 
   // ---- reply primitives for handlers ----
 

@@ -103,10 +103,8 @@ Catalog::Catalog(KvStore* store, Options options)
   // counted too. Every NsHandle holds the wrapper as keepalive: a purge
   // triggered by a pinned Session released after the catalog died still
   // goes through a live object.
-  if (options_.instrument_storage) {
-    instrumented_ = std::make_shared<InstrumentedKvStore>(store);
-    store_ = instrumented_.get();
-  }
+  instrumented_ = std::make_shared<InstrumentedKvStore>(store);
+  store_ = instrumented_.get();
   // Never reuse an epoch or data-generation number, even across drops and
   // process restarts: a recreated series must not collide with keys of a
   // dying generation.
@@ -176,7 +174,7 @@ void Catalog::SetStatsRegistry(StatsRegistry* stats) {
   if (stats == nullptr) return;
   // One registry snapshot should cover the whole write path: the store's
   // per-op stats and the event journal's counters ride along.
-  if (instrumented_ != nullptr) stats->AttachStorage(instrumented_->stats());
+  stats->AttachStorage(instrumented_->stats());
   if (options_.event_log != nullptr) stats->AttachEventLog(options_.event_log);
 }
 
@@ -538,7 +536,7 @@ Status Catalog::CommitEpochLocked(const std::string& name,
   if (stats_ != nullptr) {
     stats_->RecordIngest(name, appended_points, batches);
     stats_->RecordEpochInstalled(name, epoch);
-    if (old_handle != nullptr) stats_->RecordEpochRetired();
+    if (old_handle != nullptr) stats_->Add(Metric::kEpochsRetired);
 
     CommitRecord record;
     record.kind = kind_name;
@@ -557,7 +555,7 @@ Status Catalog::CommitEpochLocked(const std::string& name,
 
   const bool slow = options_.slow_commit_ms > 0.0 &&
                     total_ms >= options_.slow_commit_ms;
-  if (slow && stats_ != nullptr) stats_->RecordSlowCommit();
+  if (slow && stats_ != nullptr) stats_->Add(Metric::kSlowCommits);
   if (options_.event_log != nullptr) {
     options_.event_log->Emit(Event{kEventEpochCommit, name}
                                  .Str("kind", kind_name)
@@ -605,6 +603,7 @@ Status Catalog::CreateSeries(const std::string& name, TimeSeries series) {
                                           CommitKind::kCreate,
                                           series.size()));
   ingestors_[name] = std::move(ingestor);
+  PublishIngestStateLocked();
   return Status::OK();
 }
 
@@ -638,6 +637,7 @@ Status Catalog::AppendSeries(const std::string& name,
   // On failure the ingestor holds points the store never saw; drop it so
   // the next append reseeds from the last committed epoch.
   if (!st.ok()) ingestors_.erase(name);
+  PublishIngestStateLocked();
   return st;
 }
 
@@ -664,6 +664,7 @@ Status Catalog::ReplaceSeries(const std::string& name, TimeSeries series) {
   } else {
     ingestors_.erase(name);
   }
+  PublishIngestStateLocked();
   return st;
 }
 
@@ -691,6 +692,7 @@ Status Catalog::DropSeries(const std::string& name) {
     RetireOpenEntryLocked(name);
   }
   ingestors_.erase(name);
+  PublishIngestStateLocked();
   {
     std::lock_guard<std::mutex> write_lock(*store_write_mu_);
     WriteBatch batch;
@@ -703,7 +705,7 @@ Status Catalog::DropSeries(const std::string& name) {
   if (old_data_handle != nullptr) RetireNs(old_data_handle);
   if (old_handle != nullptr) RetireNs(old_handle);
   if (stats_ != nullptr) {
-    stats_->RecordEpochRetired();
+    stats_->Add(Metric::kEpochsRetired);
     stats_->RecordSeriesDropped(name);
   }
   if (options_.event_log != nullptr) {
@@ -878,35 +880,46 @@ uint64_t Catalog::retired_bytes() const {
 }
 
 uint64_t Catalog::ingest_state_bytes() const {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
+  return ingest_state_bytes_.load(std::memory_order_relaxed);
+}
+
+void Catalog::PublishIngestStateLocked() {
   uint64_t bytes = 0;
   for (const auto& [name, ingestor] : ingestors_) {
     bytes += ingestor->MemoryBytes();
   }
-  return bytes;
+  ingest_state_bytes_.store(bytes, std::memory_order_relaxed);
 }
 
-CatalogGauges Catalog::Gauges() const {
-  CatalogGauges g;
+void Catalog::FillGauges(ServiceStatsSnapshot* snap) const {
   {
-    // mu_ only — ingest_state_bytes() takes ingest_mu_ separately below.
-    // (CommitEpochLocked holds ingest_mu_ and then takes mu_, so nesting
-    // them here in the opposite order would deadlock.)
     std::lock_guard<std::mutex> lock(mu_);
-    g.live_epochs = handles_.size();
-    g.data_generations = data_handles_.size();
-    g.resident_series = open_.size();
-    g.resident_bytes = open_bytes_ + RetiredBytesLocked();
-    g.pinned_snapshots = retired_.size();  // pruned by RetiredBytesLocked
-    g.memory_budget_bytes = options_.memory_budget_bytes;
-    g.series_evicted = evicted_;
+    snap->Set(Metric::kLiveEpochs, static_cast<double>(handles_.size()));
+    snap->Set(Metric::kDataGenerations,
+              static_cast<double>(data_handles_.size()));
+    snap->Set(Metric::kResidentSeries, static_cast<double>(open_.size()));
+    snap->Set(Metric::kResidentBytes,
+              static_cast<double>(open_bytes_ + RetiredBytesLocked()));
+    // Pruned by RetiredBytesLocked.
+    snap->Set(Metric::kPinnedSnapshots, static_cast<double>(retired_.size()));
+    snap->Set(Metric::kSeriesEvicted, static_cast<double>(evicted_));
   }
-  g.ingest_state_bytes = ingest_state_bytes();
-  g.journal_replays =
-      recovery_.epochs_rolled_back + recovery_.epochs_rolled_forward;
-  g.orphans_swept = recovery_.orphans_swept;
-  store_->FillGauges(&g.backend);
-  return g;
+  snap->Set(Metric::kMemoryBudgetBytes,
+            static_cast<double>(options_.memory_budget_bytes));
+  snap->Set(Metric::kIngestStateBytes,
+            static_cast<double>(ingest_state_bytes()));
+  snap->Set(Metric::kJournalReplays,
+            static_cast<double>(recovery_.epochs_rolled_back +
+                                recovery_.epochs_rolled_forward));
+  snap->Set(Metric::kOrphansSwept,
+            static_cast<double>(recovery_.orphans_swept));
+  std::vector<std::pair<std::string, uint64_t>> backend;
+  store_->FillGauges(&backend);
+  for (const auto& [name, value] : backend) {
+    if (const MetricDef* def = FindMetric("kvmatch_storage_" + name)) {
+      snap->Set(def->id, static_cast<double>(value));
+    }
+  }
 }
 
 }  // namespace kvmatch

@@ -56,6 +56,7 @@
 #ifndef KVMATCH_SERVICE_CATALOG_H_
 #define KVMATCH_SERVICE_CATALOG_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -83,11 +84,6 @@ class Catalog {
     /// (open + retired-but-pinned); the most recently used session is
     /// always retained. 0 means unlimited.
     uint64_t memory_budget_bytes = 256ull << 20;
-    /// Wrap the store in an InstrumentedKvStore so every op this catalog
-    /// issues — recovery scans included — feeds per-op counters and
-    /// latency histograms (storage_stats()). The wrapper is one virtual
-    /// call plus a few relaxed atomics per op.
-    bool instrument_storage = true;
     /// Optional structured event journal (epoch commits, recovery
     /// roll-backs/forwards, orphan sweeps, evictions, drops). Not owned;
     /// must outlive the catalog and every Session it hands out (purges on
@@ -190,19 +186,14 @@ class Catalog {
   /// catalog's write-path use.
   void SetStatsRegistry(StatsRegistry* stats);
 
-  /// The instrumented store's op-stats sink; nullptr when
-  /// Options::instrument_storage is off.
-  std::shared_ptr<KvStoreStats> storage_stats() const {
-    return instrumented_ != nullptr ? instrumented_->stats() : nullptr;
-  }
-
   /// The event journal this catalog emits into (Options::event_log).
   EventLog* event_log() const { return options_.event_log; }
 
-  /// Live MVCC gauges: epochs, generations, pinned snapshots, resident
-  /// footprint, eviction and recovery totals, plus the backend's own
-  /// gauges. Safe from any thread.
-  CatalogGauges Gauges() const;
+  /// Sets the catalog's families in `snap`: epochs, generations, pinned
+  /// snapshots, resident footprint, eviction and recovery totals, plus the
+  /// backend's own kvmatch_storage_* figures. Safe from any thread, and
+  /// never waits for a commit in flight.
+  void FillGauges(ServiceStatsSnapshot* snap) const;
 
   // ---- Cache introspection (for tests and stats).
 
@@ -337,9 +328,13 @@ class Catalog {
   /// hold mu_.
   void RetireOpenEntryLocked(const std::string& name);
 
+  /// Recomputes ingest_state_bytes_. Caller must hold ingest_mu_.
+  void PublishIngestStateLocked();
+
   KvStore* store_;
-  /// When Options::instrument_storage is on, store_ points at this wrapper
-  /// instead of the caller's store; NsHandles hold it as keepalive.
+  /// Wraps the caller's store so every op this catalog issues, recovery
+  /// scans included, feeds per-op counters and latency histograms.
+  /// store_ points at it; NsHandles hold it as keepalive.
   std::shared_ptr<InstrumentedKvStore> instrumented_;
   Options options_;
   StatsRegistry* stats_ = nullptr;  // set once before traffic; see setter
@@ -353,6 +348,9 @@ class Catalog {
   /// shared_ptr so purges stay safe if they outlive the catalog.
   std::shared_ptr<std::mutex> store_write_mu_;
   std::map<std::string, std::unique_ptr<SeriesIngestor>> ingestors_;
+  /// Sum of ingestors_' MemoryBytes(), republished under ingest_mu_ after
+  /// every change so stats readers need not take that lock.
+  std::atomic<uint64_t> ingest_state_bytes_{0};
   /// Allocates both epoch numbers and data generation numbers; never
   /// reused, even across drops and restarts.
   uint64_t next_epoch_ = 0;

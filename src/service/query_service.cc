@@ -155,7 +155,7 @@ uint64_t QueryService::SubmitWithCallback(
   // A budget that is already spent never deserves a queue slot: answer
   // right away instead of displacing a request that could still make it.
   if (HasDeadline(deadline) && deadline <= enqueued) {
-    stats_.RecordDeadlineExceeded(request.series);
+    stats_.Add(Metric::kDeadlineExceeded);
     QueryResponse response;
     response.status =
         Status::DeadlineExceeded("request budget spent before submission");
@@ -167,7 +167,7 @@ uint64_t QueryService::SubmitWithCallback(
     std::lock_guard<std::mutex> lock(inflight_mu_);
     inflight_[id] = token;
   }
-  stats_.RecordQueryStarted();
+  stats_.Add(Metric::kQueriesInFlight);
 
   // The request and callback are moved into the task; shared_ptr keeps
   // the lambda copyable for std::function.
@@ -179,13 +179,13 @@ uint64_t QueryService::SubmitWithCallback(
     QueryResponse response =
         Execute(*shared_request, token, enqueued, deadline);
     Unregister(id);
-    stats_.RecordQueryFinished();
+    stats_.Add(Metric::kQueriesInFlight, -1);
     (*shared_done)(std::move(response));
   });
   if (!submitted.ok()) {
     Unregister(id);
-    stats_.RecordQueryFinished();
-    stats_.RecordRejected();
+    stats_.Add(Metric::kQueriesInFlight, -1);
+    stats_.Add(Metric::kRejected);
     QueryResponse response;
     response.status = submitted;
     response.latency_ms = MsSince(enqueued);
@@ -307,13 +307,13 @@ QueryResponse QueryService::Execute(
   // `>=` (not `>`) so a zero-length budget can never slip through on a
   // coarse clock tick.
   if (token->cancelled()) {
-    stats_.RecordCancelled(request.series);
+    stats_.Add(Metric::kCancelled);
     response.status = Status::Cancelled("request cancelled while queued");
     response.latency_ms = MsSince(enqueued);
     return response;
   }
   if (HasDeadline(deadline) && std::chrono::steady_clock::now() >= deadline) {
-    stats_.RecordDeadlineExceeded(request.series);
+    stats_.Add(Metric::kDeadlineExceeded);
     response.status = Status::DeadlineExceeded(
         "request expired after waiting in queue");
     response.latency_ms = MsSince(enqueued);
@@ -324,7 +324,7 @@ QueryResponse QueryService::Execute(
   if (!session.ok()) {
     response.status = session.status();
     response.latency_ms = MsSince(enqueued);
-    stats_.RecordLookupFailure();
+    stats_.Add(Metric::kNotFound);
     return response;
   }
 
@@ -384,9 +384,9 @@ QueryResponse QueryService::Execute(
   } else {
     response.status = matches.status();
     if (response.status.IsCancelled()) {
-      stats_.RecordCancelled(request.series);
+      stats_.Add(Metric::kCancelled);
     } else if (response.status.IsDeadlineExceeded()) {
-      stats_.RecordDeadlineAbortedRunning(request.series);
+      stats_.Add(Metric::kDeadlineAbortedRunning);
     } else {
       stats_.RecordQuery(request.series, response.latency_ms, response.stats,
                          /*ok=*/false);

@@ -165,13 +165,12 @@ class QueryService {
   /// storage gauges.
   ServiceStatsSnapshot Stats() const {
     ServiceStatsSnapshot snap = stats_.Snapshot();
-    snap.queue_depth = pool_.QueueDepth();
-    snap.workers_busy = pool_.NumBusy();
-    snap.workers_total = pool_.num_threads();
-    snap.catalog = catalog_->Gauges();
+    snap.Set(Metric::kQueueDepth, static_cast<double>(pool_.QueueDepth()));
+    snap.Set(Metric::kWorkersBusy, static_cast<double>(pool_.NumBusy()));
+    snap.Set(Metric::kWorkers, static_cast<double>(pool_.num_threads()));
+    catalog_->FillGauges(&snap);
     return snap;
   }
-  void ResetStats() { stats_.Reset(); }
 
   /// The live registry, for front-ends (e.g. the TCP server) that record
   /// their own gauges — connection counts, protocol errors — alongside

@@ -1,25 +1,33 @@
 // Service-level observability: per-series throughput and latency plus the
-// paper's per-query MatchStats/ProbeStats, aggregated across every request
-// the QueryService executes. Feeds the bench harness, the CLI's
-// batch-query / serve-bench tables, and the Prometheus STATS exposition.
+// paper's per-query MatchStats, the network, ingest, commit, catalog and
+// storage figures, all exposed through one Prometheus-style text dump
+// (STATS over the wire, GET /metrics over HTTP).
 //
-// The hot path (RecordQuery and friends) is lock-free: every counter is a
-// relaxed atomic and latencies go into striped LatencyHistograms, so a
-// pool of workers finishing queries never serializes on a registry mutex.
-// The per-series map itself is guarded by a shared_mutex taken shared for
-// lookups (the common case — the series already exists) and exclusive
-// only on first touch and Reset().
+// Every metric family is declared once, in KVMATCH_METRIC_FAMILIES below:
+// name, type, label keys and help text. The registry's scalar storage, its
+// Snapshot() and the renderer are loops over that table, so a new scalar
+// metric is one table row plus its record call (StatsRegistry::Add). Every
+// counter is monotonic for the life of the process: there is no reset, and
+// a reader that wants a phase subtracts two snapshots.
+//
+// The hot path (Add, RecordQuery) is lock-free: every scalar is a relaxed
+// atomic indexed by its family, and latencies go into striped
+// LatencyHistograms. The per-series map is guarded by a shared_mutex taken
+// shared for lookups and exclusive only on a series' first touch.
 #ifndef KVMATCH_SERVICE_SERVICE_STATS_H_
 #define KVMATCH_SERVICE_SERVICE_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -30,24 +38,197 @@ namespace kvmatch {
 
 class EventLog;
 
-/// Live state of the Catalog's MVCC machinery, filled by
-/// QueryService::Stats() from Catalog::Gauges() (the registry itself does
-/// not own the catalog).
-struct CatalogGauges {
-  uint64_t live_epochs = 0;         // series with a committed epoch
-  uint64_t data_generations = 0;    // live shared data-chunk namespaces
-  uint64_t pinned_snapshots = 0;    // retired generations held by readers
-  uint64_t resident_series = 0;     // sessions in the open cache
-  uint64_t resident_bytes = 0;      // open + retired-but-pinned bytes
-  uint64_t memory_budget_bytes = 0;
-  uint64_t ingest_state_bytes = 0;  // warm incremental-builder state
-  uint64_t journal_replays = 0;     // recovery roll-backs + roll-forwards
-  uint64_t orphans_swept = 0;       // at the catalog's open
-  uint64_t series_evicted = 0;      // LRU evictions from the open cache
-  /// Backend-specific gauges (KvStore::FillGauges), exposed as
-  /// kvmatch_storage_<name>.
-  std::vector<std::pair<std::string, uint64_t>> backend;
+enum class MetricType { kCounter, kGauge, kHistogram };
+
+// Every family of the exposition, in print order:
+//   X(id, name, type, label keys (comma-separated, "" if none), help)
+// Every unlabeled counter and gauge is a registry scalar; the ones that
+// other components own (pool, catalog, storage) are set in the snapshot
+// by their owner. The kvmatch_storage_* rows name what
+// KvStore::FillGauges backends report.
+// The seven kvstore latency rows follow KvStoreStats::Op order.
+#define KVMATCH_METRIC_FAMILIES(X)                                            \
+  X(kUptime, "kvmatch_uptime_seconds", kGauge, "",                            \
+    "Seconds since the stats registry was created.")                          \
+  X(kQueries, "kvmatch_queries_total", kCounter, "",                          \
+    "Queries completed, ok or failed; shed and expired requests excluded.")   \
+  X(kQueryErrors, "kvmatch_query_errors_total", kCounter, "",                 \
+    "Completed queries that returned an error.")                              \
+  X(kRejected, "kvmatch_rejected_total", kCounter, "",                        \
+    "Requests shed because the work queue was full.")                         \
+  X(kDeadlineExceeded, "kvmatch_deadline_exceeded_total", kCounter, "",       \
+    "Requests whose deadline expired before they started.")                   \
+  X(kNotFound, "kvmatch_not_found_total", kCounter, "",                       \
+    "Requests that named a series the catalog does not hold.")                \
+  X(kCancelled, "kvmatch_cancelled_total", kCounter, "",                      \
+    "Queries aborted by an explicit cancel, queued or running.")              \
+  X(kDeadlineAbortedRunning, "kvmatch_deadline_aborted_running_total",        \
+    kCounter, "", "Queries stopped mid-execution by their deadline.")         \
+  X(kQueriesInFlight, "kvmatch_queries_in_flight", kGauge, "",                \
+    "Accepted requests not yet answered, queued or executing.")               \
+  X(kQueueDepth, "kvmatch_queue_depth", kGauge, "",                           \
+    "Tasks waiting for a worker thread.")                                     \
+  X(kWorkersBusy, "kvmatch_workers_busy", kGauge, "",                         \
+    "Worker threads currently running a task.")                               \
+  X(kWorkers, "kvmatch_workers", kGauge, "",                                  \
+    "Worker threads in the query pool.")                                      \
+  X(kQueryLatency, "kvmatch_query_latency_ms", kHistogram, "",                \
+    "Query latency from submission to answer, in milliseconds.")              \
+  X(kSeriesQueries, "kvmatch_series_queries_total", kCounter, "series",       \
+    "Queries completed per series.")                                          \
+  X(kSeriesErrors, "kvmatch_series_errors_total", kCounter, "series",         \
+    "Completed queries that returned an error, per series.")                  \
+  X(kSeriesLatency, "kvmatch_series_latency_ms", kGauge, "series,stat",       \
+    "Per-series query latency (min, mean, p50, p95, p99, max), in ms.")       \
+  X(kSeriesCandidates, "kvmatch_series_candidates_total", kCounter,           \
+    "series", "Candidate positions verified, per series.")                    \
+  X(kSeriesIndexAccesses, "kvmatch_series_index_accesses_total", kCounter,    \
+    "series", "Index scans issued by the probe phase, per series.")           \
+  X(kSeriesDistanceCalls, "kvmatch_series_distance_calls_total", kCounter,    \
+    "series", "Full distance computations, per series.")                      \
+  X(kConnectionsOpen, "kvmatch_connections_open", kGauge, "",                 \
+    "Client connections currently open.")                                     \
+  X(kConnectionsAccepted, "kvmatch_connections_accepted_total", kCounter, "", \
+    "Client connections accepted.")                                           \
+  X(kConnectionsRejected, "kvmatch_connections_rejected_total", kCounter, "", \
+    "Client connections refused at the connection limit.")                    \
+  X(kProtocolErrors, "kvmatch_protocol_errors_total", kCounter, "",           \
+    "Corrupt or malformed frames received.")                                  \
+  X(kHttpRequests, "kvmatch_http_requests_total", kCounter, "",               \
+    "Requests served by the HTTP /metrics responder.")                        \
+  X(kNetOutboxBytes, "kvmatch_net_outbox_bytes", kGauge, "",                  \
+    "Response bytes queued but not yet written, over all connections.")       \
+  X(kNetReadsPaused, "kvmatch_net_reads_paused_total", kCounter, "",          \
+    "Reads paused because a connection's outbox hit its cap.")                \
+  X(kNetLoopIterations, "kvmatch_net_loop_iterations_total", kCounter, "",    \
+    "Returns from the reactor's epoll_wait.")                                 \
+  X(kNetEpollWakeups, "kvmatch_net_epoll_wakeups_total", kCounter, "",        \
+    "Reactor wake-ups requested by worker threads.")                          \
+  X(kConnectionRequests, "kvmatch_connection_requests_total", kCounter,       \
+    "conn", "Requests received per open connection.")                         \
+  X(kConnectionAge, "kvmatch_connection_age_seconds", kGauge, "conn",         \
+    "Seconds since each open connection was accepted.")                       \
+  X(kIngestPoints, "kvmatch_ingest_points_total", kCounter, "",               \
+    "Points ingested by create, append and replace.")                         \
+  X(kIngestBatches, "kvmatch_ingest_batches_total", kCounter, "",             \
+    "Write batches committed by the ingest path.")                            \
+  X(kEpochsRetired, "kvmatch_epochs_retired_total", kCounter, "",             \
+    "Series epochs superseded or dropped.")                                   \
+  X(kSeriesDropped, "kvmatch_series_dropped_total", kCounter, "",             \
+    "Series dropped from the catalog.")                                       \
+  X(kSeriesEpoch, "kvmatch_series_epoch", kGauge, "series",                   \
+    "Current epoch of each live series.")                                     \
+  X(kSeriesIngestPoints, "kvmatch_series_ingest_points_total", kCounter,      \
+    "series", "Points ingested per series, dropped series included.")        \
+  X(kCommits, "kvmatch_commits_total", kCounter, "kind",                      \
+    "Epoch commits by kind (create, append, replace).")                       \
+  X(kSlowCommits, "kvmatch_slow_commits_total", kCounter, "",                 \
+    "Commits slower than the catalog's slow-commit threshold.")               \
+  X(kCommitLatency, "kvmatch_commit_latency_ms", kHistogram, "",              \
+    "Epoch commit latency, in milliseconds.")                                 \
+  X(kCommitStageMs, "kvmatch_commit_stage_ms_total", kCounter, "stage",       \
+    "Wall time spent in each commit stage, in milliseconds.")                 \
+  X(kCommitChunkRows, "kvmatch_commit_chunk_rows_total", kCounter, "",        \
+    "Data chunk rows written by commits.")                                    \
+  X(kCommitIndexRows, "kvmatch_commit_index_rows_total", kCounter, "",        \
+    "Index rows written by commits.")                                         \
+  X(kCommitBytes, "kvmatch_commit_bytes_total", kCounter, "",                 \
+    "Encoded bytes written by commits.")                                      \
+  X(kLiveEpochs, "kvmatch_live_epochs", kGauge, "",                           \
+    "Series with a committed epoch.")                                         \
+  X(kDataGenerations, "kvmatch_data_generations", kGauge, "",                 \
+    "Live shared data-chunk generations.")                                    \
+  X(kPinnedSnapshots, "kvmatch_pinned_snapshots", kGauge, "",                 \
+    "Retired generations still held by readers.")                             \
+  X(kResidentSeries, "kvmatch_resident_series", kGauge, "",                   \
+    "Sessions in the catalog's open cache.")                                  \
+  X(kResidentBytes, "kvmatch_resident_bytes", kGauge, "",                     \
+    "Bytes held by open sessions and pinned retired generations.")            \
+  X(kMemoryBudgetBytes, "kvmatch_memory_budget_bytes", kGauge, "",            \
+    "The catalog's open-cache byte budget (0: unbounded).")                   \
+  X(kIngestStateBytes, "kvmatch_ingest_state_bytes", kGauge, "",              \
+    "Bytes of warm incremental-builder state.")                               \
+  X(kJournalReplays, "kvmatch_journal_replays_total", kCounter, "",           \
+    "Journaled commits rolled back or forward at the catalog's open.")        \
+  X(kOrphansSwept, "kvmatch_orphans_swept_total", kCounter, "",               \
+    "Orphaned namespaces swept at the catalog's open.")                       \
+  X(kSeriesEvicted, "kvmatch_series_evicted_total", kCounter, "",             \
+    "Sessions evicted from the open cache.")                                  \
+  X(kStorageEntries, "kvmatch_storage_entries", kGauge, "",                   \
+    "Keys held by the storage backend.")                                      \
+  X(kStorageFileBytes, "kvmatch_storage_file_bytes", kGauge, "",              \
+    "Bytes of the storage backend's files.")                                  \
+  X(kStorageTables, "kvmatch_storage_tables", kGauge, "",                     \
+    "SSTables in the LSM backend.")                                           \
+  X(kStorageMemtableBytes, "kvmatch_storage_memtable_bytes", kGauge, "",      \
+    "Bytes in the LSM backend's memtable.")                                   \
+  X(kStorageTombstonesWritten, "kvmatch_storage_tombstones_written_total",    \
+    kCounter, "", "Tombstones written by the LSM backend.")                   \
+  X(kStorageFlushes, "kvmatch_storage_flushes_total", kCounter, "",           \
+    "Memtable flushes of the LSM backend.")                                   \
+  X(kStorageCompactions, "kvmatch_storage_compactions_total", kCounter, "",   \
+    "Compactions of the LSM backend.")                                        \
+  X(kStorageCompactionDropped, "kvmatch_storage_compaction_dropped_total",    \
+    kCounter, "", "Entries dropped by the LSM backend's compactions.")        \
+  X(kKvstoreOps, "kvmatch_kvstore_ops_total", kCounter, "op",                 \
+    "Storage operations by op.")                                              \
+  X(kKvstoreErrors, "kvmatch_kvstore_errors_total", kCounter, "op",           \
+    "Storage operations that failed, by op (a Get miss is not a failure).")   \
+  X(kKvstoreGetLatency, "kvmatch_kvstore_get_latency_ms", kHistogram, "",     \
+    "Storage Get latency, in milliseconds.")                                  \
+  X(kKvstorePutLatency, "kvmatch_kvstore_put_latency_ms", kHistogram, "",     \
+    "Storage Put latency, in milliseconds.")                                  \
+  X(kKvstoreDeleteLatency, "kvmatch_kvstore_delete_latency_ms", kHistogram,   \
+    "", "Storage Delete latency, in milliseconds.")                           \
+  X(kKvstoreDeleteRangeLatency, "kvmatch_kvstore_delete_range_latency_ms",    \
+    kHistogram, "", "Storage DeleteRange latency, in milliseconds.")          \
+  X(kKvstoreApplyLatency, "kvmatch_kvstore_apply_latency_ms", kHistogram,     \
+    "", "Storage write-batch Apply latency, in milliseconds.")                \
+  X(kKvstoreScanLatency, "kvmatch_kvstore_scan_latency_ms", kHistogram, "",   \
+    "Storage Scan latency, in milliseconds.")                                 \
+  X(kKvstoreFlushLatency, "kvmatch_kvstore_flush_latency_ms", kHistogram,     \
+    "", "Storage Flush latency, in milliseconds.")                            \
+  X(kKvstoreBytesRead, "kvmatch_kvstore_bytes_read_total", kCounter, "",      \
+    "Key and value bytes read from storage.")                                 \
+  X(kKvstoreBytesWritten, "kvmatch_kvstore_bytes_written_total", kCounter,    \
+    "", "Key and value bytes written to storage.")                            \
+  X(kKvstoreScanRows, "kvmatch_kvstore_scan_rows_total", kCounter, "",        \
+    "Rows yielded by storage scans.")                                         \
+  X(kKvstoreBatchOps, "kvmatch_kvstore_batch_ops", kHistogram, "",            \
+    "Operations per applied write batch.")                                    \
+  X(kEventsEmitted, "kvmatch_events_emitted_total", kCounter, "",             \
+    "Structured events emitted.")                                             \
+  X(kEvents, "kvmatch_events_total", kCounter, "type",                        \
+    "Structured events emitted, by type.")                                    \
+  X(kCoordShardConnected, "kvmatch_coord_shard_connected", kGauge, "shard",   \
+    "1 while the coordinator holds a live connection to the shard.")
+
+/// A metric family, named by its row in KVMATCH_METRIC_FAMILIES.
+enum class Metric : int {
+#define KVMATCH_METRIC_ID(id, name, type, labels, help) id,
+  KVMATCH_METRIC_FAMILIES(KVMATCH_METRIC_ID)
+#undef KVMATCH_METRIC_ID
 };
+
+struct MetricDef {
+  Metric id;
+  const char* name;
+  MetricType type;
+  const char* labels;  // comma-separated label keys; "" when unlabeled
+  const char* help;
+};
+
+inline constexpr MetricDef kMetricTable[] = {
+#define KVMATCH_METRIC_DEF(id, name, type, labels, help) \
+  {Metric::id, name, MetricType::type, labels, help},
+    KVMATCH_METRIC_FAMILIES(KVMATCH_METRIC_DEF)
+#undef KVMATCH_METRIC_DEF
+};
+
+inline constexpr size_t kNumMetrics = std::size(kMetricTable);
+
+/// The family named `name`, or nullptr.
+const MetricDef* FindMetric(std::string_view name);
 
 /// One epoch commit's measured breakdown, recorded by the Catalog.
 struct CommitRecord {
@@ -76,165 +257,98 @@ struct LatencySummary {
   double max_ms = 0.0;
 };
 
+LatencySummary Summarize(const LatencyHistogram::Snapshot& h);
+
 /// Snapshot of one series' service-side counters.
 struct SeriesStatsSnapshot {
   std::string series;
   uint64_t queries = 0;   // completed (ok or error), excludes rejections
   uint64_t errors = 0;
-  double qps = 0.0;       // queries / seconds since the registry started
   LatencySummary latency;
   MatchStats match;       // aggregated over completed queries
 };
 
-/// Snapshot of the whole service.
-struct ServiceStatsSnapshot {
-  double elapsed_seconds = 0.0;
-  uint64_t total_queries = 0;
-  uint64_t total_errors = 0;
-  uint64_t rejected = 0;           // queue-full load sheds
-  uint64_t deadline_exceeded = 0;  // expired before execution
-  uint64_t not_found = 0;          // requests for unregistered series
-  /// Accepted requests not yet answered (queued or executing) — gauge.
-  uint64_t in_flight = 0;
-  /// Queries aborted by an explicit Cancel (queued or mid-execution).
-  uint64_t cancelled = 0;
-  /// Deadlines enforced *mid-execution* by the cooperative executor
-  /// (distinct from `deadline_exceeded`, which never started running).
-  uint64_t deadline_aborted_running = 0;
-  // Thread-pool gauges, filled in by QueryService::Stats() (the registry
-  // itself does not own the pool). workers_busy counts workers currently
-  // inside a task; queue_depth counts tasks waiting for a worker — their
-  // sum splits the `in_flight` conflation apart.
-  uint64_t queue_depth = 0;
-  uint64_t workers_busy = 0;
-  uint64_t workers_total = 0;
-  // Network front-end gauges; all zero when no server is attached.
-  uint64_t connections_open = 0;
-  uint64_t connections_accepted = 0;  // lifetime, includes open ones
-  uint64_t connections_rejected = 0;  // over the connection limit
-  uint64_t protocol_errors = 0;       // corrupt/malformed frames received
-  // Reactor gauges (epoll event-loop server); zero without one attached.
-  uint64_t net_outbox_bytes = 0;      // queued-unsent response bytes, live
-  uint64_t net_reads_paused = 0;      // backpressure read-pauses, lifetime
-  uint64_t net_loop_iterations = 0;   // epoll_wait returns
-  uint64_t net_epoll_wakeups = 0;     // eventfd prods from worker threads
-  // Ingest pipeline counters (catalog write path).
-  uint64_t points_appended = 0;    // across create/append/replace
-  uint64_t ingest_batches = 0;     // WriteBatches committed
-  uint64_t epochs_retired = 0;     // generations superseded or dropped
-  uint64_t series_dropped = 0;
-  /// Current epoch per live series (gauge), sorted by name.
-  std::vector<std::pair<std::string, uint64_t>> series_epochs;
-  /// Lifetime points appended per series (counter), sorted by name.
-  std::vector<std::pair<std::string, uint64_t>> series_ingest_points;
-  LatencySummary latency;          // across all series
-  /// Raw bucket counts behind `latency`, for the Prometheus
-  /// `_bucket`/`_sum`/`_count` exposition.
-  LatencyHistogram::Snapshot latency_hist;
-  std::vector<SeriesStatsSnapshot> series;  // sorted by name
-  // Storage-layer op metrics (InstrumentedKvStore); present only when a
-  // catalog with an instrumented store attached its sink.
-  bool has_storage = false;
-  KvStoreStats::Snapshot storage;
-  // Epoch-commit breakdown (catalog write path).
-  uint64_t commits_create = 0;
-  uint64_t commits_append = 0;
-  uint64_t commits_replace = 0;
-  uint64_t slow_commits = 0;
-  LatencyHistogram::Snapshot commit_latency_hist;
-  double commit_journal_ms = 0.0;  // cumulative per-stage wall time
-  double commit_data_ms = 0.0;
-  double commit_index_ms = 0.0;
-  double commit_header_ms = 0.0;
-  double commit_flip_ms = 0.0;
-  uint64_t commit_chunk_rows = 0;
-  uint64_t commit_index_rows = 0;
-  uint64_t commit_bytes = 0;
-  // Event-journal counters (EventLog::CountsByType), sorted by type.
-  uint64_t events_total = 0;
-  std::vector<std::pair<std::string, uint64_t>> event_counts;
-  /// HTTP requests served by the /metrics responder.
-  uint64_t http_requests = 0;
-  /// Catalog MVCC gauges; all zero when no catalog fills them.
-  CatalogGauges catalog;
+/// One sample of a family: its label values, comma-separated in the order
+/// of the family's label keys ("" when unlabeled), and its value.
+struct MetricSample {
+  std::string labels;
+  double value = 0.0;
 };
 
-/// Renders a snapshot as a Prometheus-style plaintext exposition:
-/// service-wide counters, connection/pool gauges, the query-latency
-/// histogram (`kvmatch_query_latency_ms_bucket{le="..."}` cumulative
-/// lines plus `_sum`/`_count`), and per-series metrics with a
-/// `series="<name>"` label (series names are [A-Za-z0-9._-] so no label
-/// escaping is needed). Served over the wire as a STATS response.
+/// Point-in-time samples of every family, ready to render. The registry
+/// fills what it records; the owners of other state (the query pool, the
+/// catalog, the transport, the coordinator) add their families' samples
+/// before rendering.
+struct ServiceStatsSnapshot {
+  /// Samples by family; an unlabeled family has at most one.
+  std::array<std::vector<MetricSample>, kNumMetrics> samples;
+  /// Histogram families that have data.
+  std::map<Metric, LatencyHistogram::Snapshot> histograms;
+  /// The per-series records behind the kvmatch_series_* families, sorted
+  /// by name.
+  std::vector<SeriesStatsSnapshot> series;
+
+  /// Sets an unlabeled family's value.
+  void Set(Metric m, double value);
+  /// Appends a sample to a labeled family.
+  void Add(Metric m, std::string labels, double value);
+  /// The sample's value, 0 when the family has no such sample.
+  double Value(Metric m, std::string_view labels = {}) const;
+  /// The family's histogram, empty when it has none.
+  const LatencyHistogram::Snapshot& Histogram(Metric m) const;
+};
+
+/// Renders a snapshot as a Prometheus text exposition: each family with
+/// samples gets one `# HELP` and one `# TYPE` line followed by all of its
+/// samples, in table order. Histograms print cumulative `_bucket{le=...}`
+/// lines (empty buckets skipped, `+Inf` always) plus `_sum` and `_count`.
+/// Label values are printed unescaped: series names are [A-Za-z0-9._-].
+/// Served over the wire as a STATS response and over HTTP at /metrics.
 std::string StatsToText(const ServiceStatsSnapshot& snapshot);
 
 /// Thread-safe sink for per-request measurements. All record paths are
 /// lock-free once a series has been seen (relaxed atomics + striped
-/// histograms); only first-touch of a new series and administrative
-/// updates (epoch gauges, Reset) take a lock.
+/// histograms); only first touch of a new series and the per-series
+/// ingest and epoch maps take a lock.
 class StatsRegistry {
  public:
   StatsRegistry();
 
+  /// Adds `n` to an unlabeled counter or gauge (a negative `n` lowers a
+  /// gauge). Lock-free.
+  void Add(Metric m, int64_t n = 1) {
+    scalars_[static_cast<size_t>(m)].fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Overwrites an unlabeled scalar whose owner counts it itself, such as
+  /// the reactor's loop counters.
+  void Set(Metric m, int64_t value) {
+    scalars_[static_cast<size_t>(m)].store(value, std::memory_order_relaxed);
+  }
+
   void RecordQuery(const std::string& series, double latency_ms,
                    const MatchStats& stats, bool ok);
-  void RecordRejected();
-  void RecordDeadlineExceeded(const std::string& series);
-  /// Unknown-series request; counted service-wide, never per-series.
-  void RecordLookupFailure();
-  // In-flight gauge: Started when a request is accepted onto the queue,
-  // Finished when its response is delivered (any outcome).
-  void RecordQueryStarted();
-  void RecordQueryFinished();
-  /// Query aborted by an explicit Cancel (queued or mid-execution).
-  void RecordCancelled(const std::string& series);
-  /// Deadline enforced mid-execution by the cooperative executor.
-  void RecordDeadlineAbortedRunning(const std::string& series);
-
-  // Network front-end gauges, recorded by the TCP server.
-  void RecordConnectionOpened();
-  void RecordConnectionClosed();
-  void RecordConnectionRejected();
-  void RecordProtocolError();
-  /// Live queued-but-unsent response bytes across every connection:
-  /// positive deltas on enqueue, negative as the reactor writes them out
-  /// (or drops them with a closing connection).
-  void RecordNetOutboxBytes(int64_t delta);
-  /// One backpressure read-pause (a connection's outbox hit its cap).
-  void RecordNetReadPaused();
-  /// Loop-health counters, exported by the reactor on its tick.
-  void SetNetLoopCounters(uint64_t iterations, uint64_t wakeups);
-
-  // Ingest pipeline metrics, recorded by the Catalog's write path.
+  /// Ingest volume, recorded by the Catalog's write path.
   void RecordIngest(const std::string& series, uint64_t points,
                     uint64_t batches);
   /// One epoch commit's span breakdown.
   void RecordCommit(const CommitRecord& rec);
-  /// A commit whose total latency crossed the catalog's slow threshold.
-  void RecordSlowCommit();
-  /// One request served by the HTTP /metrics responder.
-  void RecordHttpRequest();
-
-  /// Attaches the instrumented store's sink; Snapshot() folds it in and
-  /// Reset() rebases it. shared_ptr: the sink outlives the catalog.
-  void AttachStorage(std::shared_ptr<KvStoreStats> storage);
-  /// Attaches the event journal; Snapshot() reads its per-type counters
-  /// and Reset() rebases them (the flight-recorder ring is untouched).
-  /// Not owned; must outlive this registry's use.
-  void AttachEventLog(EventLog* events);
   /// Updates the per-series epoch gauge.
   void RecordEpochInstalled(const std::string& series, uint64_t epoch);
-  void RecordEpochRetired();
   /// Drops the series' epoch gauge and counts the drop. The ingest-points
   /// counter survives (it is lifetime volume, not live state).
   void RecordSeriesDropped(const std::string& series);
+
+  /// Attaches the instrumented store's sink, which Snapshot() folds in.
+  /// shared_ptr: the sink outlives the catalog.
+  void AttachStorage(std::shared_ptr<KvStoreStats> storage);
+  /// Attaches the event journal, whose per-type counters Snapshot() reads.
+  /// Not owned; must outlive this registry's use.
+  void AttachEventLog(EventLog* events);
 
   ServiceStatsSnapshot Snapshot() const;
 
   /// StatsToText(Snapshot()).
   std::string ToText() const;
-
-  /// Resets every counter and restarts the QPS clock (bench warm-up).
-  void Reset();
 
  private:
   /// Atomic mirror of MatchStats: counters as relaxed uint64 atomics,
@@ -265,59 +379,32 @@ class StatsRegistry {
     LatencyHistogram latency;
   };
 
-  static LatencySummary Summarize(const LatencyHistogram::Snapshot& h);
+  static constexpr size_t kCommitKinds = 3;   // create, append, replace
+  static constexpr size_t kCommitStages = 5;  // journal .. flip
 
   /// Shared-lock lookup; takes the exclusive lock only to insert.
   PerSeries* GetSeries(const std::string& series);
 
-  mutable std::shared_mutex series_mu_;
-  // shared_ptr so Snapshot()/Reset() can't free a PerSeries out from
-  // under a concurrent lock-free recorder.
-  std::map<std::string, std::shared_ptr<PerSeries>> series_;
+  const std::chrono::steady_clock::time_point start_;
 
+  // One slot per family; only the unlabeled counters and gauges use
+  // theirs. Signed so that a gauge's paired +1/-1 never wraps.
+  std::array<std::atomic<int64_t>, kNumMetrics> scalars_{};
+  std::array<std::atomic<uint64_t>, kCommitKinds> commits_{};
+  // Stage times as integer nanoseconds.
+  std::array<std::atomic<uint64_t>, kCommitStages> commit_stage_ns_{};
   LatencyHistogram all_latency_;  // across every series
-
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> not_found_{0};
-  std::atomic<uint64_t> in_flight_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> deadline_aborted_running_{0};
-  std::atomic<uint64_t> connections_open_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<int64_t> net_outbox_bytes_{0};
-  std::atomic<uint64_t> net_reads_paused_{0};
-  std::atomic<uint64_t> net_loop_iterations_{0};
-  std::atomic<uint64_t> net_epoll_wakeups_{0};
-  std::atomic<uint64_t> points_appended_{0};
-  std::atomic<uint64_t> ingest_batches_{0};
-  std::atomic<uint64_t> epochs_retired_{0};
-  std::atomic<uint64_t> series_dropped_{0};
-  std::atomic<uint64_t> http_requests_{0};
-
-  // Commit-breakdown accumulators (stage times as integer nanoseconds —
-  // atomic<double> has no portable lock-free fetch_add).
-  std::atomic<uint64_t> commits_create_{0};
-  std::atomic<uint64_t> commits_append_{0};
-  std::atomic<uint64_t> commits_replace_{0};
-  std::atomic<uint64_t> slow_commits_{0};
-  std::atomic<uint64_t> commit_journal_ns_{0};
-  std::atomic<uint64_t> commit_data_ns_{0};
-  std::atomic<uint64_t> commit_index_ns_{0};
-  std::atomic<uint64_t> commit_header_ns_{0};
-  std::atomic<uint64_t> commit_flip_ns_{0};
-  std::atomic<uint64_t> commit_chunk_rows_{0};
-  std::atomic<uint64_t> commit_index_rows_{0};
-  std::atomic<uint64_t> commit_bytes_{0};
   LatencyHistogram commit_latency_;
 
-  // Cold administrative state: epoch gauges, per-series ingest totals,
-  // and the QPS clock. Ingest is batched (catalog write path, not the
-  // query hot path) so a plain mutex here is fine.
+  mutable std::shared_mutex series_mu_;
+  // shared_ptr so Snapshot() can't free a PerSeries out from under a
+  // concurrent lock-free recorder.
+  std::map<std::string, std::shared_ptr<PerSeries>> series_;
+
+  // Cold administrative state: epoch gauges and per-series ingest totals.
+  // Ingest is batched (the catalog's write path, not the query hot path),
+  // so a plain mutex here is fine.
   mutable std::mutex gauge_mu_;
-  std::chrono::steady_clock::time_point start_;
   std::map<std::string, uint64_t> epoch_gauges_;
   std::map<std::string, uint64_t> ingest_points_;
   std::shared_ptr<KvStoreStats> storage_;  // guarded by gauge_mu_

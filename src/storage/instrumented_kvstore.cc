@@ -82,18 +82,6 @@ KvStoreStats::Snapshot KvStoreStats::TakeSnapshot() const {
   return snap;
 }
 
-void KvStoreStats::Reset() {
-  for (auto& cell : ops_) {
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.errors.store(0, std::memory_order_relaxed);
-    cell.latency.Reset();
-  }
-  bytes_read_.store(0, std::memory_order_relaxed);
-  bytes_written_.store(0, std::memory_order_relaxed);
-  scan_rows_.store(0, std::memory_order_relaxed);
-  batch_ops_.Reset();
-}
-
 Status InstrumentedKvStore::Put(std::string_view key,
                                 std::string_view value) {
   const auto t0 = Clock::now();

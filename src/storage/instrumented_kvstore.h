@@ -94,7 +94,6 @@ class KvStoreStats {
   }
 
   Snapshot TakeSnapshot() const;
-  void Reset();
 
  private:
   struct PerOpCell {

@@ -1039,7 +1039,7 @@ TEST(CoordFederationTest, CancelFansKCancelToEveryShard) {
   // The kCancel reached EVERY shard: each shard's own service observed
   // exactly its one sub-query cancelled.
   for (uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(nodes[s]->service->Stats().cancelled, 1u) << "shard " << s;
+    EXPECT_EQ(nodes[s]->service->Stats().Value(Metric::kCancelled), 1u) << "shard " << s;
   }
 }
 
@@ -1089,11 +1089,11 @@ TEST(CoordFederationTest, SecondQueryOnABusyShardAnswersWhileTheFirstRuns) {
   // Wait until the shard has the heavy query in hand.
   const auto wait_until =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (nodes[0]->service->Stats().in_flight == 0 &&
+  while (nodes[0]->service->Stats().Value(Metric::kQueriesInFlight) == 0 &&
          std::chrono::steady_clock::now() < wait_until) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(nodes[0]->service->Stats().in_flight, 1u);
+  EXPECT_EQ(nodes[0]->service->Stats().Value(Metric::kQueriesInFlight), 1u);
 
   net::WireQueryRequest quick;
   quick.request.series = "light";
@@ -1109,7 +1109,7 @@ TEST(CoordFederationTest, SecondQueryOnABusyShardAnswersWhileTheFirstRuns) {
   runner.join();
   EXPECT_TRUE(slow_response.status.IsCancelled())
       << slow_response.status.ToString();
-  EXPECT_EQ(nodes[0]->service->Stats().cancelled, 1u);
+  EXPECT_EQ(nodes[0]->service->Stats().Value(Metric::kCancelled), 1u);
 }
 
 }  // namespace

@@ -116,25 +116,6 @@ TEST(EventLogTest, SinkReceivesEveryLineAsEmitted) {
   EXPECT_EQ(seen.size(), 2u);
 }
 
-TEST(EventLogTest, ResetCountersPreservesTheFlightRecorder) {
-  EventLog log;
-  log.Emit(Event{kEventEpochCommit, "s"});
-  log.Emit(Event{kEventSlowCommit, "s"});
-  ASSERT_EQ(log.TotalEvents(), 2u);
-
-  log.ResetCounters();
-  EXPECT_EQ(log.TotalEvents(), 0u);
-  EXPECT_TRUE(log.CountsByType().empty());
-  // The incident history survives the stats rebase, and sequence numbers
-  // keep climbing — the recorder's timeline is never restarted.
-  ASSERT_EQ(log.RingLines().size(), 2u);
-  log.Emit(Event{kEventEviction, "s"});
-  const auto lines = log.RingLines();
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_NE(lines[2].find("\"seq\":2"), std::string::npos);
-  EXPECT_EQ(log.TotalEvents(), 1u);
-}
-
 TEST(EventLogTest, DumpJsonLinesJoinsWithNewlines) {
   EventLog log;
   EXPECT_EQ(log.DumpJsonLines(), "");

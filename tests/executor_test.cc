@@ -306,9 +306,9 @@ TEST(QueryServiceExecutorTest, DeadlineAbortsRunningQueryMidPhase2) {
   EXPECT_GT(response.stats.probe.index_accesses, 0u);
 
   const ServiceStatsSnapshot snap = service.Stats();
-  EXPECT_EQ(snap.deadline_aborted_running, 1u);
-  EXPECT_EQ(snap.deadline_exceeded, 0u);  // it DID start running
-  EXPECT_EQ(snap.in_flight, 0u);
+  EXPECT_EQ(snap.Value(Metric::kDeadlineAbortedRunning), 1u);
+  EXPECT_EQ(snap.Value(Metric::kDeadlineExceeded), 0u);  // it DID start running
+  EXPECT_EQ(snap.Value(Metric::kQueriesInFlight), 0u);
 }
 
 TEST(QueryServiceExecutorTest, CancelByRequestIdAbortsRunningQuery) {
@@ -331,8 +331,8 @@ TEST(QueryServiceExecutorTest, CancelByRequestIdAbortsRunningQuery) {
   EXPECT_TRUE(response.matches.empty());
 
   const ServiceStatsSnapshot snap = service.Stats();
-  EXPECT_EQ(snap.cancelled, 1u);
-  EXPECT_EQ(snap.in_flight, 0u);
+  EXPECT_EQ(snap.Value(Metric::kCancelled), 1u);
+  EXPECT_EQ(snap.Value(Metric::kQueriesInFlight), 0u);
   // The id is gone once answered.
   EXPECT_TRUE(service.Cancel(id).IsNotFound());
 }
@@ -366,8 +366,8 @@ TEST(QueryServiceExecutorTest, CancelQueuedRequestNeverExecutes) {
   EXPECT_TRUE(busy_future.get().status.IsCancelled());
   const QueryResponse response = delivered.get_future().get();
   EXPECT_TRUE(response.status.IsCancelled()) << response.status.ToString();
-  EXPECT_EQ(service.Stats().cancelled, 2u);
-  EXPECT_EQ(service.Stats().total_queries, 0u);  // neither ever completed
+  EXPECT_EQ(service.Stats().Value(Metric::kCancelled), 2u);
+  EXPECT_EQ(service.Stats().Value(Metric::kQueries), 0u);  // neither ever completed
 }
 
 TEST(QueryServiceExecutorTest, CancelUnknownIdIsNotFound) {
@@ -440,8 +440,8 @@ TEST(QueryServiceExecutorTest, RacingCancelsAgainstRunningQueries) {
   const ServiceStatsSnapshot snap = service.Stats();
   EXPECT_EQ(ok_count.load() + cancelled_count.load(),
             static_cast<size_t>(kSubmitters * kPerThread));
-  EXPECT_EQ(snap.cancelled, cancelled_count.load());
-  EXPECT_EQ(snap.in_flight, 0u);
+  EXPECT_EQ(snap.Value(Metric::kCancelled), cancelled_count.load());
+  EXPECT_EQ(snap.Value(Metric::kQueriesInFlight), 0u);
   EXPECT_EQ(service.InFlight(), 0u);
 }
 

@@ -417,11 +417,12 @@ TEST(IngestTest, ConcurrentQueriesAlwaysMatchSomePinnedEpoch) {
   EXPECT_EQ(*catalog.SeriesEpoch("s"), epochs.size() - 1);
 
   const ServiceStatsSnapshot snap = service.Stats();
-  EXPECT_EQ(snap.epochs_retired, epochs.size() - 1);
-  EXPECT_GT(snap.points_appended, 0u);
-  EXPECT_GT(snap.ingest_batches, 0u);
-  ASSERT_EQ(snap.series_epochs.size(), 1u);
-  EXPECT_EQ(snap.series_epochs[0].second, epochs.size() - 1);
+  EXPECT_EQ(snap.Value(Metric::kEpochsRetired), epochs.size() - 1);
+  EXPECT_GT(snap.Value(Metric::kIngestPoints), 0u);
+  EXPECT_GT(snap.Value(Metric::kIngestBatches), 0u);
+  ASSERT_EQ(snap.samples[static_cast<size_t>(Metric::kSeriesEpoch)].size(),
+            1u);
+  EXPECT_EQ(snap.Value(Metric::kSeriesEpoch, "s"), epochs.size() - 1);
 }
 
 // ---- Satellite: LRU eviction racing concurrent queries ----

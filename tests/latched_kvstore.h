@@ -4,7 +4,8 @@
 // under `prefix` blocks until Release(). Arming a series' namespace
 // ("series/<name>/") stalls any session open of that series inside its
 // store reads, so tests can check what else keeps running meanwhile.
-// Writes always pass through.
+// ArmFlush() likewise holds every Flush, which stalls a commit in flight.
+// Other writes always pass through.
 //
 // Thread-safe.
 #ifndef KVMATCH_TESTS_LATCHED_KVSTORE_H_
@@ -32,10 +33,16 @@ class LatchedKvStore : public KvStore {
     armed_ = true;
   }
 
-  /// Opens the latch; stalled and later reads pass through.
+  void ArmFlush() {
+    std::lock_guard<std::mutex> lock(mu_);
+    flush_armed_ = true;
+  }
+
+  /// Opens the latch; stalled and later reads and flushes pass through.
   void Release() {
     std::lock_guard<std::mutex> lock(mu_);
     armed_ = false;
+    flush_armed_ = false;
     cv_.notify_all();
   }
 
@@ -70,15 +77,26 @@ class LatchedKvStore : public KvStore {
   size_t ApproximateCount() const override {
     return base_->ApproximateCount();
   }
-  Status Flush() override { return base_->Flush(); }
+  Status Flush() override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (flush_armed_) Hold(lock, flush_armed_);
+    }
+    return base_->Flush();
+  }
 
  private:
   void Stall(std::string_view key) const {
     std::unique_lock<std::mutex> lock(mu_);
     if (!armed_ || !key.starts_with(prefix_)) return;
+    Hold(lock, armed_);
+  }
+
+  /// Counts the caller as stalled until `latch` drops.
+  void Hold(std::unique_lock<std::mutex>& lock, const bool& latch) const {
     ++stalled_;
     cv_.notify_all();
-    cv_.wait(lock, [&] { return !armed_; });
+    cv_.wait(lock, [&] { return !latch; });
     --stalled_;
   }
 
@@ -87,6 +105,7 @@ class LatchedKvStore : public KvStore {
   mutable std::condition_variable cv_;
   std::string prefix_;
   bool armed_ = false;
+  bool flush_armed_ = false;
   mutable size_t stalled_ = 0;
 };
 

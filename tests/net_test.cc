@@ -701,9 +701,9 @@ TEST(NetServerTest, ConcurrentPipelinedClientsMatchSerialExecution) {
   for (const auto& failure : failures) EXPECT_EQ(failure, "");
 
   const ServiceStatsSnapshot snap = fx.service->Stats();
-  EXPECT_EQ(snap.total_queries, kClients * requests.size());
-  EXPECT_EQ(snap.total_errors, 0u);
-  EXPECT_EQ(snap.connections_accepted, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(snap.Value(Metric::kQueries), kClients * requests.size());
+  EXPECT_EQ(snap.Value(Metric::kQueryErrors), 0u);
+  EXPECT_EQ(snap.Value(Metric::kConnectionsAccepted), static_cast<uint64_t>(kClients));
 }
 
 TEST(NetServerTest, ByReferenceQueryEqualsLiteralQuery) {
@@ -815,6 +815,46 @@ TEST(NetServerTest, ColdOpenDoesNotStallOtherConnections) {
   server.Stop();
 }
 
+// STATS and /metrics are answered on the loop thread, so they must never
+// wait for a commit: while an append's flush is held in the store, STATS
+// and PING on other connections still answer. (When the catalog's gauges
+// took the ingest lock, one slow commit stalled the whole reactor.)
+TEST(NetServerTest, StatsDoesNotWaitForACommit) {
+  MemKvStore base;
+  IngestFixture(&base);
+  LatchedKvStore store(&base);
+  Catalog::Options copts;
+  copts.session = SmallOptions();
+  Catalog catalog(&store, copts);
+  QueryService service(&catalog, QueryService::Options{.num_threads = 2});
+  catalog.SetStatsRegistry(service.stats_registry());
+  Server::Options nopts;
+  nopts.port = 0;
+  Server server(&catalog, &service, nopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  store.ArmFlush();
+  std::thread writer([&catalog] {
+    const std::vector<double> tail(256, 1.0);
+    EXPECT_TRUE(catalog.AppendSeries("s0", tail).ok());
+  });
+  ASSERT_TRUE(store.WaitForStalled(1, 5000.0)) << "append never flushed";
+
+  auto stats = Client::Connect("127.0.0.1", server.port());
+  auto ping = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(stats.ok() && ping.ok());
+  (*stats)->set_wait_timeout_ms(2000.0);
+  (*ping)->set_wait_timeout_ms(2000.0);
+  auto text = (*stats)->StatsText();
+  const Status pong = (*ping)->Ping();
+  store.Release();
+  writer.join();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("kvmatch_ingest_state_bytes"), std::string::npos);
+  EXPECT_TRUE(pong.ok()) << pong.ToString();
+  server.Stop();
+}
+
 TEST(NetServerTest, TypedErrorsTravelTheWire) {
   ServerFixture fx;
   auto client = Client::Connect("127.0.0.1", fx.server->port());
@@ -851,7 +891,7 @@ TEST(NetServerTest, WireDeadlineExpiresInQueueAsDeadlineExceeded) {
   ASSERT_TRUE(doomed.ok());
   EXPECT_TRUE(doomed->status.IsDeadlineExceeded())
       << doomed->status.ToString();
-  EXPECT_EQ(fx.service->Stats().deadline_exceeded, 1u);
+  EXPECT_EQ(fx.service->Stats().Value(Metric::kDeadlineExceeded), 1u);
 }
 
 TEST(NetServerTest, ListStatsAndPing) {
@@ -1022,7 +1062,7 @@ TEST(NetServerTest, HttpHealthzNotFoundAndMethodNotAllowed) {
   EXPECT_TRUE((*client)->Ping().ok());
 
   // And the scrapes were counted.
-  EXPECT_GE(fx.service->Stats().http_requests, 4u);
+  EXPECT_GE(fx.service->Stats().Value(Metric::kHttpRequests), 4u);
 }
 
 TEST(NetServerTest, RemoteIngestLifecycleOverTheWire) {
@@ -1200,7 +1240,9 @@ class EchoHandler : public RequestHandler {
     transport.SendError(conn, id, Status::NotSupported("echo handler"));
   }
   std::string StatsText(const Transport& transport) const override {
-    return "echo_handler_up 1\n" + transport.ConnectionStatsText();
+    ServiceStatsSnapshot snap;
+    transport.FillConnectionStats(&snap);
+    return "echo_handler_up 1\n" + StatsToText(snap);
   }
 
   void WaitUntilListHeld() {
@@ -1311,7 +1353,7 @@ TEST(NetServerTest, CorruptFrameYieldsErrorAndConnectionSurvives) {
   ASSERT_TRUE(raw.ReadFrame(&frame));
   EXPECT_EQ(frame.type, FrameType::kPong);
   EXPECT_EQ(frame.request_id, 42u);
-  EXPECT_EQ(fx.service->Stats().protocol_errors, 1u);
+  EXPECT_EQ(fx.service->Stats().Value(Metric::kProtocolErrors), 1u);
 }
 
 TEST(NetServerTest, MalformedQueryBodyYieldsErrorAndConnectionSurvives) {
@@ -1349,7 +1391,7 @@ TEST(NetServerTest, ResponseFramesSentToServerCountAsProtocolErrors) {
   // corrupt or undecodable one: answered with a typed error AND counted.
   ServerFixture fx;
   RawConnection raw(fx.server->port());
-  const uint64_t before = fx.service->Stats().protocol_errors;
+  const uint64_t before = fx.service->Stats().Value(Metric::kProtocolErrors);
   uint64_t id = 30;
   for (const FrameType type : {FrameType::kPong, FrameType::kQueryResponse}) {
     Frame bogus;
@@ -1367,7 +1409,7 @@ TEST(NetServerTest, ResponseFramesSentToServerCountAsProtocolErrors) {
     ASSERT_TRUE(DecodeErrorBody(frame.body, &carried).ok());
     EXPECT_TRUE(carried.IsInvalidArgument()) << carried.ToString();
   }
-  EXPECT_EQ(fx.service->Stats().protocol_errors, before + 2);
+  EXPECT_EQ(fx.service->Stats().Value(Metric::kProtocolErrors), before + 2);
 }
 
 TEST(NetServerTest, OversizedFrameYieldsErrorThenClose) {
@@ -1400,7 +1442,7 @@ TEST(NetServerTest, RefusesConnectionsOverTheLimit) {
   ASSERT_TRUE(second.ok());  // TCP connects; refusal arrives as a frame
   const Status refused = (*second)->Ping();
   EXPECT_TRUE(refused.IsResourceExhausted()) << refused.ToString();
-  EXPECT_EQ(fx.service->Stats().connections_rejected, 1u);
+  EXPECT_EQ(fx.service->Stats().Value(Metric::kConnectionsRejected), 1u);
 
   // The first connection is unaffected.
   EXPECT_TRUE((*first)->Ping().ok());
@@ -1511,7 +1553,7 @@ TEST(NetServerTest, RemoteCancelAbortsRunningQuery) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response->status.IsCancelled())
       << response->status.ToString();
-  EXPECT_EQ(fx.service->Stats().cancelled, 1u);
+  EXPECT_EQ(fx.service->Stats().Value(Metric::kCancelled), 1u);
 
   // Cancelling an id that is not in flight is a harmless no-op, and the
   // connection keeps serving.
@@ -1583,7 +1625,7 @@ TEST(NetServerTest, StopCancelsStragglersAfterDrainTimeout) {
   // Generous bound: far below the query's runtime, so the return proves
   // the cancel fired (not that the query finished).
   EXPECT_LT(stop_seconds, 30.0);
-  EXPECT_EQ(fx->service->Stats().cancelled, 1u);
+  EXPECT_EQ(fx->service->Stats().Value(Metric::kCancelled), 1u);
 
   // The cancelled response was flushed to the client before the close.
   auto response = (*client)->WaitResponse(*id);
@@ -2309,7 +2351,7 @@ TEST(NetServerTest, HttpKeepAliveServesMultipleScrapes) {
   const std::string scrape = read_response();
   EXPECT_NE(scrape.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(scrape.find("Connection: keep-alive"), std::string::npos);
-  EXPECT_NE(scrape.find("kvmatch_net_open_connections"), std::string::npos);
+  EXPECT_NE(scrape.find("kvmatch_connections_open"), std::string::npos);
 
   // Without the header the server answers and closes, as it always has.
   send_all("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -2318,7 +2360,7 @@ TEST(NetServerTest, HttpKeepAliveServesMultipleScrapes) {
   char byte;
   EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // clean EOF from the server
   ::close(fd);
-  EXPECT_GE(fx.service->Stats().http_requests, 5u);
+  EXPECT_GE(fx.service->Stats().Value(Metric::kHttpRequests), 5u);
 }
 
 TEST(NetServerTest, TrickledBytesReassembleAcrossSyscalls) {
@@ -2432,7 +2474,7 @@ TEST(NetServerTest, SlowReaderBackpressurePausesAndResumesReads) {
   // magnitude slower.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  while (service.Stats().net_outbox_bytes < 8 * nopts.max_outbox_bytes) {
+  while (service.Stats().Value(Metric::kNetOutboxBytes) < 8 * nopts.max_outbox_bytes) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "outbox never crossed the cap";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -2446,7 +2488,7 @@ TEST(NetServerTest, SlowReaderBackpressurePausesAndResumesReads) {
   bytes.clear();
   EncodeFrame(ping, &bytes);
   send_all(bytes);
-  while (service.Stats().net_reads_paused < 1) {
+  while (service.Stats().Value(Metric::kNetReadsPaused) < 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "outbox over the cap never paused reads";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -2644,17 +2686,17 @@ TEST(NetServerTest, MetricsExposeReactorGauges) {
   const std::string resp = RawHttpExchange(
       fx.server->port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
   for (const char* name :
-       {"kvmatch_net_open_connections", "kvmatch_net_accept_refused_total",
+       {"kvmatch_connections_open", "kvmatch_connections_rejected_total",
         "kvmatch_net_outbox_bytes", "kvmatch_net_reads_paused_total",
         "kvmatch_net_loop_iterations_total",
         "kvmatch_net_epoll_wakeups_total"}) {
     EXPECT_NE(resp.find(name), std::string::npos) << name;
   }
   const ServiceStatsSnapshot snap = fx.service->Stats();
-  EXPECT_GE(snap.connections_open, 1u);
-  EXPECT_GE(snap.net_loop_iterations, 1u);
+  EXPECT_GE(snap.Value(Metric::kConnectionsOpen), 1u);
+  EXPECT_GE(snap.Value(Metric::kNetLoopIterations), 1u);
   // The ping completion crossed threads, so at least one eventfd kick.
-  EXPECT_GE(snap.net_epoll_wakeups, 1u);
+  EXPECT_GE(snap.Value(Metric::kNetEpollWakeups), 1u);
 }
 
 TEST(NetServerTest, IdleConnectionsDoNotStarveActiveClient) {
@@ -2679,7 +2721,7 @@ TEST(NetServerTest, IdleConnectionsDoNotStarveActiveClient) {
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(response->status.ok()) << response->status.ToString();
   }
-  EXPECT_GE(fx.service->Stats().connections_open, kIdle + 1);
+  EXPECT_GE(fx.service->Stats().Value(Metric::kConnectionsOpen), kIdle + 1);
   idle.clear();
 }
 

@@ -322,15 +322,20 @@ TEST(SessionStatsTest, RsmOnlySessionsFitTheCatalogBudget) {
       }
     }
   };
+  const auto evicted = [&catalog] {
+    ServiceStatsSnapshot snap;
+    catalog.FillGauges(&snap);
+    return snap.Value(Metric::kSeriesEvicted);
+  };
   query_all(kRsmTypes);
   query_all(kRsmTypes);  // re-measures every session after its queries
   EXPECT_EQ(catalog.cached_sessions(), kSeries);
   EXPECT_LE(catalog.cached_bytes(), copts.memory_budget_bytes);
-  EXPECT_EQ(catalog.Gauges().series_evicted, 0u);
+  EXPECT_EQ(evicted(), 0.0);
 
   query_all(kCnsmTypes);
   query_all(kCnsmTypes);
-  EXPECT_GT(catalog.Gauges().series_evicted, 0u);
+  EXPECT_GT(evicted(), 0.0);
   EXPECT_LT(catalog.cached_sessions(), kSeries);
   EXPECT_LE(catalog.cached_bytes(), copts.memory_budget_bytes);
 }

@@ -973,13 +973,6 @@ TEST(InstrumentedKvStoreTest, CountsOpsBytesScanRowsAndBatchSizes) {
   EXPECT_EQ(snap.batch_ops.total, 1u);           // one Apply...
   EXPECT_DOUBLE_EQ(snap.batch_ops.max_ms, 3.0);  // ...of three ops
   EXPECT_EQ(snap.TotalOps(), 8u);
-
-  stats->Reset();
-  const KvStoreStats::Snapshot zero = stats->TakeSnapshot();
-  EXPECT_EQ(zero.TotalOps(), 0u);
-  EXPECT_EQ(zero.bytes_written, 0u);
-  EXPECT_EQ(zero.scan_rows, 0u);
-  EXPECT_EQ(zero.batch_ops.total, 0u);
 }
 
 TEST(InstrumentedKvStoreTest, ForwardsBackendGauges) {

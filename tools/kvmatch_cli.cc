@@ -544,12 +544,14 @@ int ReadQueryFile(const std::string& path, Parse parse,
 }
 
 void PrintServiceStats(const ServiceStatsSnapshot& snap) {
+  const double uptime = snap.Value(Metric::kUptime);
   TablePrinter table({"Series", "Queries", "Errors", "QPS", "Min (ms)",
                       "Mean (ms)", "p99 (ms)", "Candidates", "Scans"});
   for (const auto& s : snap.series) {
     table.AddRow({s.series, TablePrinter::FmtInt(s.queries),
                   TablePrinter::FmtInt(s.errors),
-                  TablePrinter::Fmt(s.qps, 1),
+                  TablePrinter::Fmt(uptime > 0.0 ? s.queries / uptime : 0.0,
+                                    1),
                   TablePrinter::Fmt(s.latency.min_ms, 2),
                   TablePrinter::Fmt(s.latency.mean_ms, 2),
                   TablePrinter::Fmt(s.latency.p99_ms, 2),
@@ -557,15 +559,15 @@ void PrintServiceStats(const ServiceStatsSnapshot& snap) {
                   TablePrinter::FmtInt(s.match.probe.index_accesses)});
   }
   table.Print();
-  std::printf("total: %llu queries (%llu errors, %llu shed, %llu expired, "
-              "%llu unknown) in %.2fs | mean=%.2fms p99=%.2fms\n",
-              static_cast<unsigned long long>(snap.total_queries),
-              static_cast<unsigned long long>(snap.total_errors),
-              static_cast<unsigned long long>(snap.rejected),
-              static_cast<unsigned long long>(snap.deadline_exceeded),
-              static_cast<unsigned long long>(snap.not_found),
-              snap.elapsed_seconds, snap.latency.mean_ms,
-              snap.latency.p99_ms);
+  const LatencySummary latency =
+      Summarize(snap.Histogram(Metric::kQueryLatency));
+  std::printf("total: %.0f queries (%.0f errors, %.0f shed, %.0f expired, "
+              "%.0f unknown) in %.2fs | mean=%.2fms p99=%.2fms\n",
+              snap.Value(Metric::kQueries), snap.Value(Metric::kQueryErrors),
+              snap.Value(Metric::kRejected),
+              snap.Value(Metric::kDeadlineExceeded),
+              snap.Value(Metric::kNotFound), uptime, latency.mean_ms,
+              latency.p99_ms);
 }
 
 int CmdBatchQuery(const Args& args) {
@@ -656,7 +658,6 @@ int CmdServeBench(const Args& args) {
   sopts.num_threads = args.GetU64("threads", 4);
   sopts.max_queue = 2 * batch;
   QueryService service(&catalog, sopts);
-  service.ResetStats();
 
   Stopwatch sw;
   auto futures = service.SubmitBatch(requests);
@@ -1092,12 +1093,22 @@ int CmdRemoteDrop(const Args& args) {
   return 0;
 }
 
-/// Parses a Prometheus-style dump into {metric-with-labels: value}.
-std::map<std::string, double> ParseMetrics(const std::string& text) {
+/// The counter and histogram samples of a Prometheus text dump, as
+/// {sample key: value}: only those accumulate activity, so only their
+/// deltas are worth printing. Each family's `# TYPE` line precedes its
+/// samples.
+std::map<std::string, double> ParseAccumulating(const std::string& text) {
   std::map<std::string, double> out;
   std::istringstream in(text);
   std::string line;
+  bool accumulates = false;
   while (std::getline(in, line)) {
+    if (line.starts_with("# TYPE ")) {
+      accumulates =
+          line.ends_with(" counter") || line.ends_with(" histogram");
+      continue;
+    }
+    if (!accumulates || line.empty() || line[0] == '#') continue;
     const size_t sp = line.rfind(' ');
     if (sp == std::string::npos || sp == 0) continue;
     out[line.substr(0, sp)] = std::strtod(line.c_str() + sp + 1, nullptr);
@@ -1116,19 +1127,14 @@ int CmdStats(const Args& args) {
 
   const double watch_sec = args.GetF("watch", 0.0);
   if (watch_sec <= 0.0) return 0;
-  auto prev = ParseMetrics(*text);
+  auto prev = ParseAccumulating(*text);
   size_t tick = 0;
   while (!WaitForSignal(watch_sec)) {
     auto poll = (*client)->StatsText();
     if (!poll.ok()) return Fail(poll.status());
-    auto cur = ParseMetrics(*poll);
+    auto cur = ParseAccumulating(*poll);
     std::printf("--- t+%.0fs ---\n", ++tick * watch_sec);
     for (const auto& [name, value] : cur) {
-      // Clocks tick on their own; only activity deltas are interesting.
-      if (name == "kvmatch_uptime_seconds" ||
-          name.find("age_seconds") != std::string::npos) {
-        continue;
-      }
       const auto it = prev.find(name);
       const double delta = it == prev.end() ? value : value - it->second;
       if (delta != 0.0) {

@@ -3,13 +3,14 @@
 # twice — once with native SIMD dispatch, once with KVMATCH_FORCE_SCALAR=1
 # to exercise the portable kernel tier), the verifier cascade ablation as
 # an exactness check on both tiers, then a ThreadSanitizer build of
-# the concurrent service/network/ingest/executor tests (including the
-# racing-cancel suite) and an ASan+UBSan build of the
-# storage/service/net/ingest/executor tests plus the crash-point-replay
+# the concurrent service/network/ingest/executor/stats tests (including
+# the racing-cancel suite) and an ASan+UBSan build of the
+# storage/service/net/ingest/executor/stats tests plus the crash-point-replay
 # suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
 # (simd_parity_test), the full-range verify of the baselines and the
 # verifier (baseline_test, verifier_test) and the banded DTW DP
-# (distance_test, match_property_test). Mirrors what CI runs; use it
+# (distance_test, match_property_test), and the service, ingest and
+# network benches in --quick mode. Mirrors what CI runs; use it
 # locally before sending a PR.
 #
 #   tools/run_checks.sh [jobs]
@@ -35,12 +36,12 @@ echo "=== Lower-bound cascade ablation: every configuration, same matches ==="
 KVMATCH_FORCE_SCALAR=1 ./build/bench_ablation_verifier --quick
 
 echo
-echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log/session tests ==="
+echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log/session/stats tests ==="
 cmake -B build-tsan -S . -DKVMATCH_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" \
   --target service_test net_test coord_test stream_slow_test ingest_test \
            executor_test trace_test event_log_test storage_test \
-           simd_parity_test session_test
+           simd_parity_test session_test stats_test
 ./build-tsan/service_test
 ./build-tsan/net_test
 ./build-tsan/coord_test
@@ -54,15 +55,19 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/simd_parity_test
 # Concurrent first cNSM queries share one build of the window statistics.
 ./build-tsan/session_test
+# Lock-free scalar records racing snapshots; live serve + coord scrapes.
+./build-tsan/stats_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor + crash replay + verify + DTW ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor/stats + crash replay + verify + DTW + benches ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test stream_slow_test \
            ingest_test executor_test trace_test event_log_test \
            fault_kvstore_test simd_parity_test baseline_test verifier_test \
-           distance_test match_property_test session_test
+           distance_test match_property_test session_test stats_test \
+           bench_ingest_while_query bench_service_throughput \
+           bench_net_throughput
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -84,6 +89,12 @@ KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
 ./build-asan/distance_test
 ./build-asan/match_property_test
 ./build-asan/session_test
+./build-asan/stats_test
+# The benches read the registry through snapshot differences and
+# per-response latencies; run them where memory errors show.
+./build-asan/bench_ingest_while_query --quick
+./build-asan/bench_service_throughput --quick
+./build-asan/bench_net_throughput --quick
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
