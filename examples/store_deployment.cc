@@ -11,7 +11,6 @@
 #include "bench_util/workload.h"
 #include "common/rng.h"
 #include "index/index_builder.h"
-#include "match/top_k.h"
 #include "matchdp/kv_match_dp.h"
 #include "storage/minikv.h"
 #include "ts/generator.h"
@@ -103,14 +102,8 @@ int main(int argc, char** argv) {
                 stats.phase1_ms, stats.phase2_ms);
   }
 
-  // Top-k on the same stack.
-  auto top = TopKMatch(
-      [&](double eps) {
-        QueryParams p = params;
-        p.epsilon = eps;
-        return matcher.Match(q, p);
-      },
-      5, {.exclusion_zone = q.size()});
+  // Top-k on the same stack: one pass with a live ε.
+  auto top = matcher.MatchTopK(q, params, 5, {.exclusion_zone = q.size()});
   if (!top.ok()) return 1;
   std::printf("top-5 (exclusion zone |Q|):\n");
   for (const auto& m : *top) {

@@ -4,6 +4,10 @@
 // orchestrator (the QueryService, a test, a future coroutine front-end)
 // can interleave checkpoints, cancel mid-query, and parallelize:
 //
+//   top-k    →  optionally, StartTopK() first turns the executor into a
+//               one-pass best-k search (match/top_k.h): it verifies seed
+//               windows, and their N-th best distance becomes the ε of
+//               phase 1 and the start of the live bound of phase 2;
 //   phase 1  →  one StepProbe() per query window (probe + shift +
 //               intersect), abortable between windows;
 //   phase 2  →  SliceCandidates() partitions the candidate set CS into
@@ -25,6 +29,7 @@
 
 #include "match/exec_context.h"
 #include "match/kv_match.h"
+#include "match/top_k.h"
 
 namespace kvmatch {
 
@@ -38,6 +43,25 @@ class QueryExecutor {
       const TimeSeries& series, const PrefixStats& prefix,
       std::span<const double> q, const QueryParams& params,
       std::vector<QuerySegment> segments, const MatchOptions& options = {});
+
+  // ---- Top-k: one pass with a live ε ----
+
+  /// Makes this executor a search for the k best matches (params.epsilon
+  /// then only steers the segmentation the executor was built with). Must
+  /// precede the first probe step. Verifies seed windows from the index
+  /// rows nearest Q's window means, with the live bound starting at +∞;
+  /// the N-th smallest seed distance (+∞ with fewer than N eligible
+  /// seeds) becomes phase 1's ε. The seeds are removed from CS, and their
+  /// best matches join the final merge. Records a kSpanSeed span. On
+  /// Cancelled / DeadlineExceeded, stats() holds the seed work done.
+  Status StartTopK(size_t k, const TopKOptions& options,
+                   const ExecContext& ctx = {});
+  bool top_k() const { return topk_; }
+
+  /// The top-k answer from the concatenated results of every verified
+  /// slice (each slice returns its heap, in no order): SelectTopK over
+  /// them plus the seeds' best.
+  std::vector<MatchResult> FinishTopK(std::vector<MatchResult> slices) const;
 
   // ---- Phase 1: per-window probe steps ----
 
@@ -67,8 +91,10 @@ class QueryExecutor {
   const IntervalList& slice(size_t i) const { return slices_[i]; }
 
   /// Verifies slice `i`: results ordered by offset, counters (and the
-  /// slice's verify wall time as phase2_ms) added to `*stats`. `ctx` is
-  /// threaded down to per-candidate granularity: the verifier polls the
+  /// slice's verify wall time as phase2_ms) added to `*stats`. For a
+  /// top-k search the results are the slice's heap, in no order, and its
+  /// ε is the shared live bound. `ctx` is threaded down to
+  /// per-candidate granularity: the verifier polls the
   /// cancel token on every candidate (and between DTW rows for expensive
   /// candidates) and the deadline every few dozen candidates. On abort,
   /// `*stats` holds the partial counters for the work actually done.
@@ -89,7 +115,8 @@ class QueryExecutor {
   /// On abort, stats() holds the partial counters accumulated so far.
   /// When `sink` is non-null each slice's matches are handed to it as the
   /// slice finishes and the returned vector is empty — results flow to the
-  /// wire while later slices are still verifying.
+  /// wire while later slices are still verifying. A top-k search ignores
+  /// `sink` and returns FinishTopK's answer.
   Result<std::vector<MatchResult>> Run(const ExecContext& ctx = {},
                                        MatchStats* stats = nullptr,
                                        const MatchSink* sink = nullptr);
@@ -111,6 +138,15 @@ class QueryExecutor {
                 std::vector<QuerySegment> segments,
                 const MatchOptions& options);
 
+  /// Window ranges at params_.epsilon, and the probe order over them.
+  void PlanWindows();
+  /// Candidate starts whose segment-`i` window lies in the index rows
+  /// nearest Q's segment-`i` mean, widened to hold `min_positions`.
+  Result<IntervalList> NearestRows(size_t i, uint64_t min_positions);
+  /// The (at most) `count` windows of `pool` that meet the cNSM
+  /// constraints and lie nearest Q on a sample of points, nearest first.
+  std::vector<int64_t> NearestBySample(const IntervalList& pool,
+                                       size_t count) const;
   void FinishPhase1();
 
   const TimeSeries& series_;
@@ -130,6 +166,15 @@ class QueryExecutor {
 
   std::vector<IntervalList> slices_;
   size_t slices_verified_ = 0;  // via Run() only
+
+  // Top-k search state (StartTopK).
+  bool topk_ = false;
+  size_t topk_k_ = 0;
+  size_t topk_zone_ = 0;
+  size_t topk_capacity_ = 0;
+  IntervalList seeds_;                  // verified by StartTopK, not in CS
+  std::vector<MatchResult> seed_best_;  // their heap
+  mutable SharedBound bound_;           // lowered by concurrent slices
 
   Verifier verifier_;
   MatchStats stats_;

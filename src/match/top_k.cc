@@ -1,7 +1,6 @@
 #include "match/top_k.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <queue>
 
 namespace kvmatch {
@@ -49,53 +48,66 @@ std::vector<SeriesMatch> MergeTopK(
   return merged;
 }
 
-namespace {
-
-/// Greedy non-overlap filter: results are distance-sorted; keep a result
-/// only if no kept result lies within `zone` offsets.
-std::vector<MatchResult> ApplyExclusion(std::vector<MatchResult> sorted,
-                                        size_t zone) {
-  if (zone == 0) return sorted;
-  std::vector<MatchResult> kept;
-  for (const auto& r : sorted) {
-    bool blocked = false;
-    for (const auto& other : kept) {
-      const size_t delta = r.offset > other.offset ? r.offset - other.offset
-                                                   : other.offset - r.offset;
-      if (delta < zone) {
-        blocked = true;
-        break;
-      }
-    }
-    if (!blocked) kept.push_back(r);
-  }
-  return kept;
+size_t TopKCapacity(size_t k, size_t exclusion_zone, size_t windows) {
+  // max(1, 2z − 1) without overflow: a zone wider than the series blocks
+  // every other window, which a factor of `windows` already covers.
+  const size_t zone = std::min(exclusion_zone, windows);
+  const size_t factor = zone <= 1 ? 1 : 2 * zone - 1;
+  if (k == 0 || windows == 0) return 0;
+  if (k > windows / factor) return windows;
+  return k * factor;
 }
 
-}  // namespace
-
-Result<std::vector<MatchResult>> TopKMatch(
-    const std::function<Result<std::vector<MatchResult>>(double epsilon)>&
-        match_fn,
-    size_t k, const TopKOptions& options) {
-  if (k == 0) return std::vector<MatchResult>{};
-  double epsilon = options.initial_epsilon;
-  std::vector<MatchResult> last;
-  for (int round = 0; round < options.max_rounds; ++round) {
-    auto results = match_fn(epsilon);
-    if (!results.ok()) return results.status();
-    std::vector<MatchResult> sorted = std::move(results).value();
-    std::sort(sorted.begin(), sorted.end(), MatchOrderLess);
-    sorted = ApplyExclusion(std::move(sorted), options.exclusion_zone);
-    if (sorted.size() >= k) {
-      sorted.resize(k);
-      return sorted;
-    }
-    last = std::move(sorted);
-    epsilon *= options.growth;
+void SharedBound::Lower(double bound) {
+  double current = value_.load(std::memory_order_relaxed);
+  while (bound < current &&
+         !value_.compare_exchange_weak(current, bound,
+                                       std::memory_order_relaxed)) {
   }
-  // Budget exhausted: return the best we saw (may be fewer than k).
-  return last;
+}
+
+void TopKHeap::Offer(const MatchResult& match) {
+  if (heap_.size() < capacity_) {
+    heap_.push_back(match);
+    std::push_heap(heap_.begin(), heap_.end(), MatchOrderLess);
+    // A heap that is not yet full bounds nothing: fewer than N windows
+    // say nothing about the N-th smallest distance.
+    if (heap_.size() == capacity_) shared_->Lower(heap_.front().distance);
+    return;
+  }
+  if (capacity_ == 0 || !MatchOrderLess(match, heap_.front())) return;
+  std::pop_heap(heap_.begin(), heap_.end(), MatchOrderLess);
+  heap_.back() = match;
+  std::push_heap(heap_.begin(), heap_.end(), MatchOrderLess);
+  shared_->Lower(heap_.front().distance);
+}
+
+std::vector<MatchResult> SelectTopK(std::vector<MatchResult> candidates,
+                                    size_t k, size_t exclusion_zone) {
+  const size_t keep = TopKCapacity(k, exclusion_zone, candidates.size());
+  std::sort(candidates.begin(), candidates.end(), MatchOrderLess);
+  candidates.resize(keep);
+  if (exclusion_zone > 1) {
+    // Greedy non-overlap filter: keep a result only if no kept result
+    // lies within `exclusion_zone` offsets.
+    std::vector<MatchResult> kept;
+    for (const auto& r : candidates) {
+      bool blocked = false;
+      for (const auto& other : kept) {
+        const size_t delta = r.offset > other.offset ? r.offset - other.offset
+                                                     : other.offset - r.offset;
+        if (delta < exclusion_zone) {
+          blocked = true;
+          break;
+        }
+      }
+      if (!blocked) kept.push_back(r);
+      if (kept.size() == k) break;
+    }
+    candidates = std::move(kept);
+  }
+  if (candidates.size() > k) candidates.resize(k);
+  return candidates;
 }
 
 }  // namespace kvmatch

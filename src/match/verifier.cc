@@ -25,20 +25,31 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
                                    const ExecContext& ctx,
                                    std::vector<MatchResult>* results,
                                    MatchStats* stats,
-                                   const VerifyOptions& options) const {
+                                   const VerifyOptions& options,
+                                   TopKHeap* topk) const {
   const size_t m = q.size();
   const size_t n = series_.size();
   if (m == 0 || n < m) return Status::OK();
   const simd::Kernels& ker =
       options.kernels != nullptr ? *options.kernels : simd::ActiveKernels();
-  const double eps_sq = SquaredThreshold(params.epsilon);
+  // ε and its squared forms; a top-k verify lowers them as its bound
+  // shrinks.
+  double epsilon = params.epsilon;
+  double eps_sq = SquaredThreshold(epsilon);
   const bool normalized = IsNormalized(params.type);
   const bool dtw = IsDtw(params.type);
   const bool l1 = IsL1(params.type);
   // Lower-bound prunes compare against ε² widened for rounding, so a
   // bound tight in exact arithmetic never prunes a match the DP would
   // accept (see WidenForRounding).
-  const double lb_eps_sq = WidenForRounding(eps_sq, m);
+  double lb_eps_sq = WidenForRounding(eps_sq, m);
+  auto emit = [&](size_t off, double d) {
+    if (topk != nullptr) {
+      topk->Offer({off, d});
+    } else {
+      results->push_back({off, d});
+    }
+  };
 
   // Query-side precomputation.
   std::vector<double> q_hat;           // normalized query (cNSM)
@@ -116,6 +127,11 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
         if (ctx.has_deadline() && ++deadline_tick % kDeadlineStride == 0) {
           KVMATCH_RETURN_NOT_OK(ctx.Check());
         }
+        if (topk != nullptr && topk->Bound() < epsilon) {
+          epsilon = topk->Bound();
+          eps_sq = SquaredThreshold(epsilon);
+          lb_eps_sq = WidenForRounding(eps_sq, m);
+        }
         const size_t off = static_cast<size_t>(l) + k;
         const double* s = blk + k;
 
@@ -137,10 +153,10 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
 
         if (l1) {
           // L1 path: distances are compared un-squared.
-          const double d = ker.l1(s, q_cmp.data(), m, params.epsilon);
+          const double d = ker.l1(s, q_cmp.data(), m, epsilon);
           if (stats != nullptr) ++stats->distance_calls;
-          if (d > params.epsilon) continue;
-          results->push_back({off, d});
+          if (d > epsilon) continue;
+          emit(off, d);
           continue;
         }
 
@@ -222,17 +238,17 @@ Status Verifier::VerifyCancellable(std::span<const double> q,
             ker.znormalize(s, m, mean, inv, sh);
           }
           const std::span<const double> s_span(normalized ? sh : s, m);
-          const double d = DtwDistance(s_span, q_cmp, params.rho,
-                                       params.epsilon, cum_lb, ctx.cancel);
+          const double d = DtwDistance(s_span, q_cmp, params.rho, epsilon,
+                                       cum_lb, ctx.cancel);
           if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
             // The DP may have bailed mid-band; its value is not a verdict.
             return Status::Cancelled("query cancelled");
           }
           if (stats != nullptr) ++stats->distance_calls;
-          if (d > params.epsilon) continue;
+          if (d > epsilon) continue;
           dist_sq = d * d;
         }
-        results->push_back({off, std::sqrt(dist_sq)});
+        emit(off, std::sqrt(dist_sq));
       }
       l += static_cast<int64_t>(count);
     }

@@ -30,7 +30,8 @@
 // the mapped min/max is the min/max of the normalized points. Every prune
 // compares against SquaredThreshold(ε) widened for rounding
 // (WidenForRounding in distance/dtw.h), so the cascade returns exactly the
-// bare DP's matches.
+// bare DP's matches. A top-k verify (match/top_k.h) runs the same cascade
+// with ε replaced, candidate by candidate, by its shrinking live bound.
 #ifndef KVMATCH_MATCH_VERIFIER_H_
 #define KVMATCH_MATCH_VERIFIER_H_
 
@@ -42,6 +43,7 @@
 #include "index/interval.h"
 #include "match/exec_context.h"
 #include "match/query_types.h"
+#include "match/top_k.h"
 #include "ts/stats_oracle.h"
 #include "ts/time_series.h"
 
@@ -79,12 +81,18 @@ class Verifier {
   /// (a clock read) every kDeadlineStride candidates. On Cancelled /
   /// DeadlineExceeded, `*results` and `*stats` hold the work completed so
   /// far.
+  ///
+  /// Top-k form: when `topk` is non-null, matches go to it instead of
+  /// `*results` (which may be null), and ε is live: before each candidate
+  /// it drops to topk->Bound() if that is lower, and every α/β-surviving
+  /// prune and early abandon compares against it.
   Status VerifyCancellable(std::span<const double> q,
                            const QueryParams& params, const IntervalList& cs,
                            const ExecContext& ctx,
                            std::vector<MatchResult>* results,
                            MatchStats* stats = nullptr,
-                           const VerifyOptions& options = {}) const;
+                           const VerifyOptions& options = {},
+                           TopKHeap* topk = nullptr) const;
 
   /// Run-to-completion wrapper around VerifyCancellable (default
   /// ExecContext never aborts).

@@ -32,4 +32,18 @@ Result<std::vector<MatchResult>> KvMatchDp::Match(
   return (*executor)->Run(ctx, stats);
 }
 
+Result<std::vector<MatchResult>> KvMatchDp::MatchTopK(
+    std::span<const double> q, const QueryParams& params, size_t k,
+    const TopKOptions& topk, MatchStats* stats, const MatchOptions& options,
+    const ExecContext& ctx) const {
+  if (k == 0) return std::vector<MatchResult>{};
+  auto executor = MakeExecutor(q, params, options);
+  if (!executor.ok()) return executor.status();
+  if (Status st = (*executor)->StartTopK(k, topk, ctx); !st.ok()) {
+    if (stats != nullptr) stats->Add((*executor)->stats());
+    return st;
+  }
+  return (*executor)->Run(ctx, stats);
+}
+
 }  // namespace kvmatch

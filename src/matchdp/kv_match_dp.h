@@ -31,6 +31,13 @@ class KvMatchDp {
                                          const MatchOptions& options = {},
                                          const ExecContext& ctx = {}) const;
 
+  /// The k best matches, sorted by distance, in one pass of the executor
+  /// (QueryExecutor::StartTopK; params.epsilon only steers segmentation).
+  Result<std::vector<MatchResult>> MatchTopK(
+      std::span<const double> q, const QueryParams& params, size_t k,
+      const TopKOptions& topk = {}, MatchStats* stats = nullptr,
+      const MatchOptions& options = {}, const ExecContext& ctx = {}) const;
+
   /// The resumable form: segments Q and returns an executor positioned
   /// before the first probe step, for orchestrators that need stepwise
   /// control (mid-query cancellation, parallel verify slices). The

@@ -76,14 +76,11 @@ Result<std::vector<MatchResult>> Session::Query(std::span<const double> q,
 }
 
 Result<std::vector<MatchResult>> Session::QueryTopK(
-    std::span<const double> q, QueryParams params, size_t k,
-    const TopKOptions& options, const ExecContext& ctx) const {
-  return TopKMatch(
-      [&](double epsilon) {
-        params.epsilon = epsilon;
-        return matcher_->Match(q, params, nullptr, MatchOptions(), ctx);
-      },
-      k, options);
+    std::span<const double> q, const QueryParams& params, size_t k,
+    const TopKOptions& options, MatchStats* stats,
+    const ExecContext& ctx) const {
+  return matcher_->MatchTopK(q, params, k, options, stats, MatchOptions(),
+                             ctx);
 }
 
 Result<std::unique_ptr<QueryExecutor>> Session::MakeExecutor(

@@ -85,12 +85,14 @@ class Session {
                                          MatchStats* stats = nullptr,
                                          const ExecContext& ctx = {}) const;
 
-  /// Top-k best matches under the given query type (ε in `params` is
-  /// ignored; the search expands ε internally). `ctx` is checked inside
-  /// every ε-round's probe/verify steps.
+  /// Top-k best matches under the given query type, sorted by distance,
+  /// in one pass of the executor with a live ε (match/top_k.h); ε in
+  /// `params` only steers the segmentation. `ctx` is checked at the seed,
+  /// probe and slice checkpoints, like Query's.
   Result<std::vector<MatchResult>> QueryTopK(
-      std::span<const double> q, QueryParams params, size_t k,
-      const TopKOptions& options = {}, const ExecContext& ctx = {}) const;
+      std::span<const double> q, const QueryParams& params, size_t k,
+      const TopKOptions& options = {}, MatchStats* stats = nullptr,
+      const ExecContext& ctx = {}) const;
 
   /// The resumable executor for one query (DP segmentation included) —
   /// what the QueryService uses to cancel mid-flight and fan verify

@@ -182,12 +182,6 @@ void EncodeQueryRequestBody(const WireQueryRequest& wire_request,
   PutDouble(body, r.params.beta);
   PutVarint64(body, r.params.rho);
   PutVarint64(body, r.top_k);
-  PutDouble(body, r.topk_options.initial_epsilon);
-  PutDouble(body, r.topk_options.growth);
-  PutVarint32(body, static_cast<uint32_t>(
-                        r.topk_options.max_rounds < 0
-                            ? 0
-                            : r.topk_options.max_rounds));
   PutVarint64(body, r.topk_options.exclusion_zone);
   PutDouble(body, r.timeout_ms);
   body->push_back(r.collect_trace ? 1 : 0);
@@ -223,17 +217,8 @@ Status DecodeQueryRequestBody(std::string_view body, WireQueryRequest* out) {
   if (!GetVarint64(&body, &top_k)) return Malformed("top_k");
   r.params.rho = static_cast<size_t>(rho);
   r.top_k = static_cast<size_t>(top_k);
-  if (!ReadDouble(&body, &r.topk_options.initial_epsilon)) {
-    return Malformed("topk initial epsilon");
-  }
-  if (!ReadDouble(&body, &r.topk_options.growth)) {
-    return Malformed("topk growth");
-  }
-  uint32_t max_rounds = 0;
   uint64_t exclusion = 0;
-  if (!GetVarint32(&body, &max_rounds)) return Malformed("topk max rounds");
   if (!GetVarint64(&body, &exclusion)) return Malformed("topk exclusion");
-  r.topk_options.max_rounds = static_cast<int>(max_rounds);
   r.topk_options.exclusion_zone = static_cast<size_t>(exclusion);
   if (!ReadDouble(&body, &r.timeout_ms)) return Malformed("timeout");
   uint8_t trace_flag = 0;

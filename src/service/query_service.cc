@@ -337,17 +337,18 @@ QueryResponse QueryService::Execute(
   const auto q = QueryValues(request, **session);
   if (!q.ok()) {
     matches = q.status();
-  } else if (request.top_k > 0) {
-    // Top-k rides the single-shot wrapper: each ε-round is cancellable at
-    // its own probe/slice checkpoints.
-    matches = (*session)->QueryTopK(*q, request.params, request.top_k,
-                                    request.topk_options, ctx);
   } else {
     auto executor = (*session)->MakeExecutor(*q, request.params);
     if (!executor.ok()) {
       matches = executor.status();
     } else {
-      Status st = (*executor)->RunPhase1(ctx);
+      // A top-k request is the same pass, seeded first: its slices share
+      // a live ε and their heaps merge at the end.
+      Status st = request.top_k > 0
+                      ? (*executor)->StartTopK(request.top_k,
+                                               request.topk_options, ctx)
+                      : Status::OK();
+      if (st.ok()) st = (*executor)->RunPhase1(ctx);
       if (!st.ok()) {
         response.stats.Add((*executor)->stats());  // partial phase-1
         matches = st;
@@ -355,17 +356,20 @@ QueryResponse QueryService::Execute(
         const size_t num_slices =
             (*executor)->SliceCandidates(options_.verify_slice_positions);
         const QueryExecutor::MatchSink* sink =
-            request.on_partial ? &request.on_partial : nullptr;
+            request.on_partial && request.top_k == 0 ? &request.on_partial
+                                                     : nullptr;
         if (options_.parallel_verify && num_slices >= 2 &&
             pool_.num_threads() >= 2) {
           std::vector<MatchResult> merged;
           st = ParallelVerify(*session, executor->get(), ctx, &merged,
                               &response.stats, sink);
           response.stats.Add((*executor)->stats());  // phase-1 counters
-          if (st.ok()) {
-            matches = std::move(merged);
-          } else {
+          if (!st.ok()) {
             matches = st;
+          } else if ((*executor)->top_k()) {
+            matches = (*executor)->FinishTopK(std::move(merged));
+          } else {
+            matches = std::move(merged);
           }
         } else {
           // Serial: Run() walks the prepared slices with per-slice ctx

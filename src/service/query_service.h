@@ -59,8 +59,8 @@ struct QueryRequest {
   /// InvalidArgument.
   std::optional<Window> reference;
   QueryParams params;
-  /// 0 → ε-match with params.epsilon; > 0 → best-k search (params.epsilon
-  /// ignored, ε expands internally).
+  /// 0 → ε-match with params.epsilon; > 0 → best-k search in one pass
+  /// with a live ε (params.epsilon only steers the segmentation).
   size_t top_k = 0;
   TopKOptions topk_options;
   /// Wall-clock budget from submission; 0 disables. A request whose
@@ -187,7 +187,9 @@ class QueryService {
                         std::chrono::steady_clock::time_point deadline);
 
   /// Phase 2 of `executor` with slices fanned across idle workers; the
-  /// calling worker claims slices too. Results land in offset order.
+  /// calling worker claims slices too. Results land in offset order (for
+  /// a top-k search, the slices' heaps in slice order, which the caller
+  /// hands to FinishTopK).
   /// When `sink` is non-null, completed slices are flushed to it in
   /// offset order as soon as every earlier slice has finished, and
   /// `*matches` stays empty.

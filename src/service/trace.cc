@@ -54,7 +54,7 @@ StageBreakdown ComputeStageBreakdown(const QueryTrace& trace) {
   for (const TraceSpan& s : trace.spans()) {
     if (s.name == kSpanQueue) {
       b.queue_ms += s.dur_ms;
-    } else if (s.name == kSpanProbe) {
+    } else if (s.name == kSpanProbe || s.name == kSpanSeed) {
       b.probe_ms += s.dur_ms;
     } else if (s.name == kSpanSerialize) {
       b.serialize_ms += s.dur_ms;

@@ -31,6 +31,9 @@ namespace kvmatch {
 // the CLI breakdown, tests) keys off these strings.
 inline constexpr const char kSpanQueue[] = "queue";
 inline constexpr const char kSpanProbe[] = "probe";
+// A top-k search's seed verify, which picks phase 1's ε; the stage
+// breakdown counts it as probe time.
+inline constexpr const char kSpanSeed[] = "seed";
 inline constexpr const char kSpanVerify[] = "verify";
 inline constexpr const char kSpanSerialize[] = "serialize";
 

@@ -107,9 +107,6 @@ TEST(ProtocolTest, QueryRequestRoundTripsLiteralAndReference) {
     in.request.params.beta = 3.0;
     in.request.params.rho = 11;
     in.request.top_k = 5;
-    in.request.topk_options.initial_epsilon = 0.75;
-    in.request.topk_options.growth = 1.5;
-    in.request.topk_options.max_rounds = 17;
     in.request.topk_options.exclusion_zone = 32;
     in.request.timeout_ms = 125.5;
     in.request.query = {1.0, -2.5, 3.75, 0.0, 1e-9};
@@ -125,12 +122,6 @@ TEST(ProtocolTest, QueryRequestRoundTripsLiteralAndReference) {
     EXPECT_EQ(out.request.params.beta, in.request.params.beta);
     EXPECT_EQ(out.request.params.rho, in.request.params.rho);
     EXPECT_EQ(out.request.top_k, in.request.top_k);
-    EXPECT_EQ(out.request.topk_options.initial_epsilon,
-              in.request.topk_options.initial_epsilon);
-    EXPECT_EQ(out.request.topk_options.growth,
-              in.request.topk_options.growth);
-    EXPECT_EQ(out.request.topk_options.max_rounds,
-              in.request.topk_options.max_rounds);
     EXPECT_EQ(out.request.topk_options.exclusion_zone,
               in.request.topk_options.exclusion_zone);
     EXPECT_EQ(out.request.timeout_ms, in.request.timeout_ms);

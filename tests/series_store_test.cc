@@ -1,15 +1,12 @@
-// Tests for SeriesStore (paper §VII-B data layout) and TopKMatch.
+// Tests for SeriesStore (paper §VII-B data layout).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <filesystem>
 
 #include "baseline/brute_force.h"
 #include "common/rng.h"
 #include "index/index_builder.h"
 #include "match/kv_match.h"
-#include "match/top_k.h"
 #include "storage/mem_kvstore.h"
 #include "storage/minikv.h"
 #include "ts/generator.h"
@@ -139,123 +136,6 @@ TEST(SeriesStoreTest, SharedStoreWithIndexNamespaces) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->size(), expected.size());
   fs::remove_all(dir);
-}
-
-// ---- TopKMatch ----
-
-struct TopKFixture {
-  TimeSeries x;
-  PrefixStats ps;
-  KvIndex index;
-  std::vector<double> q;
-
-  TopKFixture() {
-    Rng rng(310);
-    x = GenerateSynthetic(6000, &rng);
-    ps = PrefixStats(x);
-    index = BuildKvIndex(x, {.window = 25});
-    q = ExtractQuery(x, 2500, 150, 0.3, &rng);
-  }
-};
-
-std::vector<MatchResult> BruteTopK(const TimeSeries& x,
-                                   std::span<const double> q,
-                                   QueryParams params, size_t k) {
-  params.epsilon = 1e18;
-  auto all = BruteForceMatch(x, q, params);
-  std::sort(all.begin(), all.end(),
-            [](const MatchResult& a, const MatchResult& b) {
-              return a.distance < b.distance ||
-                     (a.distance == b.distance && a.offset < b.offset);
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-TEST(TopKTest, MatchesBruteForceTopK) {
-  TopKFixture f;
-  const KvMatcher matcher(f.x, f.ps, f.index);
-  QueryParams params{QueryType::kRsmEd, 0.0, 1.0, 0.0, 0};
-  for (size_t k : {1u, 5u, 20u}) {
-    auto got = TopKMatch(
-        [&](double eps) {
-          QueryParams p = params;
-          p.epsilon = eps;
-          return matcher.Match(f.q, p);
-        },
-        k);
-    ASSERT_TRUE(got.ok());
-    const auto expected = BruteTopK(f.x, f.q, params, k);
-    ASSERT_EQ(got->size(), expected.size()) << "k=" << k;
-    for (size_t i = 0; i < got->size(); ++i) {
-      EXPECT_EQ((*got)[i].offset, expected[i].offset) << "k=" << k;
-    }
-  }
-}
-
-TEST(TopKTest, ExclusionZoneSuppressesTrivialNeighbors) {
-  TopKFixture f;
-  const KvMatcher matcher(f.x, f.ps, f.index);
-  QueryParams params{QueryType::kRsmEd, 0.0, 1.0, 0.0, 0};
-  TopKOptions options;
-  options.exclusion_zone = 150;  // one |Q| apart
-  auto got = TopKMatch(
-      [&](double eps) {
-        QueryParams p = params;
-        p.epsilon = eps;
-        return matcher.Match(f.q, p);
-      },
-      5, options);
-  ASSERT_TRUE(got.ok());
-  for (size_t i = 0; i < got->size(); ++i) {
-    for (size_t j = i + 1; j < got->size(); ++j) {
-      const size_t delta = (*got)[i].offset > (*got)[j].offset
-                               ? (*got)[i].offset - (*got)[j].offset
-                               : (*got)[j].offset - (*got)[i].offset;
-      EXPECT_GE(delta, 150u);
-    }
-  }
-}
-
-TEST(TopKTest, KZeroIsEmpty) {
-  auto got = TopKMatch(
-      [](double) {
-        return Result<std::vector<MatchResult>>(std::vector<MatchResult>{});
-      },
-      0);
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->empty());
-}
-
-TEST(TopKTest, PropagatesMatcherErrors) {
-  auto got = TopKMatch(
-      [](double) {
-        return Result<std::vector<MatchResult>>(
-            Status::Internal("boom"));
-      },
-      3);
-  EXPECT_FALSE(got.ok());
-}
-
-TEST(TopKTest, CnsmTopKRespectsConstraints) {
-  TopKFixture f;
-  const KvMatcher matcher(f.x, f.ps, f.index);
-  QueryParams params{QueryType::kCnsmEd, 0.0, 1.3, 2.0, 0};
-  auto got = TopKMatch(
-      [&](double eps) {
-        QueryParams p = params;
-        p.epsilon = eps;
-        return matcher.Match(f.q, p);
-      },
-      10);
-  ASSERT_TRUE(got.ok());
-  const MeanStd q_ms = ComputeMeanStd(f.q);
-  for (const auto& r : *got) {
-    const MeanStd ms = f.ps.WindowMeanStd(r.offset, f.q.size());
-    EXPECT_LE(std::fabs(ms.mean - q_ms.mean), 2.0 + 1e-9);
-    EXPECT_GE(ms.std, q_ms.std / 1.3 - 1e-9);
-    EXPECT_LE(ms.std, q_ms.std * 1.3 + 1e-9);
-  }
 }
 
 }  // namespace

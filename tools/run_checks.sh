@@ -3,9 +3,9 @@
 # twice — once with native SIMD dispatch, once with KVMATCH_FORCE_SCALAR=1
 # to exercise the portable kernel tier), the verifier cascade ablation as
 # an exactness check on both tiers, then a ThreadSanitizer build of
-# the concurrent service/network/ingest/executor/stats tests (including
-# the racing-cancel suite) and an ASan+UBSan build of the
-# storage/service/net/ingest/executor/stats tests plus the crash-point-replay
+# the concurrent service/network/ingest/executor/top-k/stats tests
+# (including the racing-cancel suite) and an ASan+UBSan build of the
+# storage/service/net/ingest/executor/top-k/stats tests plus the crash-point-replay
 # suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
 # (simd_parity_test), the full-range verify of the baselines and the
 # verifier (baseline_test, verifier_test) and the banded DTW DP
@@ -36,11 +36,11 @@ echo "=== Lower-bound cascade ablation: every configuration, same matches ==="
 KVMATCH_FORCE_SCALAR=1 ./build/bench_ablation_verifier --quick
 
 echo
-echo "=== ThreadSanitizer: service/net/coord/ingest/executor/trace/event-log/session/stats tests ==="
+echo "=== ThreadSanitizer: service/net/coord/ingest/executor/top-k/trace/event-log/session/stats tests ==="
 cmake -B build-tsan -S . -DKVMATCH_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" \
   --target service_test net_test coord_test stream_slow_test ingest_test \
-           executor_test trace_test event_log_test storage_test \
+           executor_test top_k_test trace_test event_log_test storage_test \
            simd_parity_test session_test stats_test
 ./build-tsan/service_test
 ./build-tsan/net_test
@@ -49,6 +49,8 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/stream_slow_test
 ./build-tsan/ingest_test
 ./build-tsan/executor_test
+# Parallel top-k slices lower one shared live bound (CAS-min).
+./build-tsan/top_k_test
 ./build-tsan/trace_test
 ./build-tsan/event_log_test
 ./build-tsan/storage_test
@@ -59,11 +61,11 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/stats_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor/stats + crash replay + verify + DTW + benches ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor/top-k/stats + crash replay + verify + DTW + benches ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test stream_slow_test \
-           ingest_test executor_test trace_test event_log_test \
+           ingest_test executor_test top_k_test trace_test event_log_test \
            fault_kvstore_test simd_parity_test baseline_test verifier_test \
            distance_test match_property_test session_test stats_test \
            bench_ingest_while_query bench_service_throughput \
@@ -76,6 +78,7 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/stream_slow_test
 ./build-asan/ingest_test
 ./build-asan/executor_test
+./build-asan/top_k_test
 ./build-asan/trace_test
 ./build-asan/fault_kvstore_test
 ./build-asan/simd_parity_test
