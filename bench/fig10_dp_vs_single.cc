@@ -1,8 +1,10 @@
 // Fig. 10: KV-matchDP vs the basic KV-match with each single fixed-w
 // index, across query lengths, for a low-selectivity ε (a) and a
-// high-selectivity ε (b). RSM-ED as in the paper (§VIII-G).
+// high-selectivity ε (b). RSM-ED as in the paper (§VIII-G). Every answer
+// is checked against UCR Suite's.
 //
 //   ./fig10_dp_vs_single [--n <len>] [--runs <k>] [--seed <s>] [--quick]
+//                        [--json OUT]
 #include "bench_common.h"
 
 #include "match/kv_match.h"
@@ -20,50 +22,55 @@ int main(int argc, char** argv) {
   const Workload w = Workload::Make(flags.n, flags.seed);
   const DpStack stack(w.series);  // w = 25..400
   const KvMatchDp dp(w.series, w.prefix, stack.ptrs);
+  const UcrSuite ucr(w.series, w.prefix);
   std::vector<KvMatcher> singles;
   singles.reserve(stack.indexes.size());
   for (const auto& index : stack.indexes) {
     singles.emplace_back(w.series, w.prefix, index);
   }
 
+  std::vector<std::string> titles;
+  std::vector<TablePrinter> tables;
   for (double epsilon : {10.0, 100.0}) {
-    std::printf("epsilon = %.0f (%s selectivity)\n", epsilon,
-                epsilon < 50 ? "low" : "high");
-    TablePrinter table({"|Q|", "KVM-25 (ms)", "KVM-50 (ms)", "KVM-100 (ms)",
-                        "KVM-200 (ms)", "KVM-400 (ms)", "KVM-DP (ms)"});
+    const std::string& title = titles.emplace_back(
+        "epsilon = " + TablePrinter::Fmt(epsilon, 0) +
+        (epsilon < 50 ? " (low" : " (high") + " selectivity)");
+    std::printf("%s\n", title.c_str());
+    TablePrinter& table = tables.emplace_back(std::vector<std::string>{
+        "|Q|", "KVM-25 (ms)", "KVM-50 (ms)", "KVM-100 (ms)", "KVM-200 (ms)",
+        "KVM-400 (ms)", "KVM-DP (ms)"});
     Rng rng(flags.seed + 1);
     for (size_t m : lengths) {
-      std::vector<std::string> row = {std::to_string(m)};
+      std::vector<std::string> cells = {std::to_string(m)};
+      QueryParams params{QueryType::kRsmEd, epsilon, 1.0, 0.0, 0};
       std::vector<std::vector<double>> queries;
+      std::vector<std::vector<MatchResult>> truths;
       for (int run = 0; run < flags.runs; ++run) {
         queries.push_back(MakeQuery(w, m, &rng, 0.05));
+        truths.push_back(ucr.Match(queries.back(), params));
       }
-      QueryParams params{QueryType::kRsmEd, epsilon, 1.0, 0.0, 0};
-      for (const auto& matcher : singles) {
+      // Times one matcher over every query ("-" when |Q| is shorter than
+      // its window) and checks each answer.
+      auto time_matcher = [&](const std::string& name, const auto& matcher) {
         double ms = 0;
-        bool valid = true;
-        for (const auto& q : queries) {
+        for (size_t run = 0; run < queries.size(); ++run) {
           Stopwatch sw;
-          auto r = matcher.Match(q, params);
-          if (!r.ok()) {
-            valid = false;  // query shorter than this index's window
-            break;
-          }
+          auto r = matcher.Match(queries[run], params);
+          if (!r.ok()) return std::string("-");
           ms += sw.Ms();
+          CheckAnswer(name + " " + title + " |Q| " + std::to_string(m) +
+                          " run " + std::to_string(run),
+                      truths[run], *r);
         }
-        row.push_back(valid ? TablePrinter::Fmt(ms / flags.runs, 1) : "-");
+        return TablePrinter::Fmt(ms / flags.runs, 1);
+      };
+      for (size_t i = 0; i < singles.size(); ++i) {
+        cells.push_back(time_matcher(
+            "KVM-" + std::to_string(stack.indexes[i].window()), singles[i]));
       }
-      {
-        double ms = 0;
-        for (const auto& q : queries) {
-          Stopwatch sw;
-          auto r = dp.Match(q, params);
-          if (!r.ok()) return 1;
-          ms += sw.Ms();
-        }
-        row.push_back(TablePrinter::Fmt(ms / flags.runs, 1));
-      }
-      table.AddRow(std::move(row));
+      cells.push_back(time_matcher("KVM-DP", dp));
+      if (cells.back() == "-") return 1;  // KVM-DP takes every length
+      table.AddRow(std::move(cells));
     }
     table.Print();
     std::printf("\n");
@@ -72,5 +79,7 @@ int main(int argc, char** argv) {
       "Expected shape (paper Fig. 10): small-w indexes win only on short\n"
       "queries, large-w only on long ones; KVM-DP tracks or beats the best\n"
       "single index across the whole length range.\n");
-  return 0;
+  const bool written = TablePrinter::WriteJson(
+      flags, {{titles[0], &tables[0]}, {titles[1], &tables[1]}});
+  return written ? 0 : 1;
 }

@@ -4,7 +4,9 @@
 // Paper sweeps 10⁶..10⁹ on a cluster; default here is 10⁵..4·10⁶
 // (--n raises the top point).
 //
-//   ./fig8_size_buildtime [--n <len>] [--seed <s>] [--quick]
+// It matches no queries, so it has no answers to check.
+//
+//   ./fig8_size_buildtime [--n <len>] [--seed <s>] [--quick] [--json OUT]
 #include "bench_common.h"
 
 #include "baseline/dmatch.h"
@@ -47,5 +49,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Fig. 8): both index families are a small\n"
       "fraction of the data and grow linearly; KV-index builds are faster\n"
       "than the R-tree baseline (O(n) streaming vs sort/tile + tree).\n");
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

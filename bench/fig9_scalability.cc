@@ -1,47 +1,13 @@
 // Fig. 9: scalability of cNSM queries — KVM-DP vs UCR Suite under ED and
 // DTW across data lengths, with α = 1.5, β′ = 1.0 and fixed selectivity
-// (the paper holds selectivity at 10⁻⁷ by adjusting ε).
+// (the paper holds selectivity at 10⁻⁷ by adjusting ε). KVM-DP's answers
+// are checked against UCR Suite's, and UCR Suite's against the target count.
 //
 //   ./fig9_scalability [--n <len>] [--runs <k>] [--seed <s>] [--quick]
+//                      [--json OUT]
 #include "bench_common.h"
 
-#include "baseline/ucr_suite.h"
-#include "distance/simd/kernels.h"
-
 using namespace kvmatch;
-
-namespace {
-
-struct JsonRow {
-  size_t n;
-  double kvm_ed, ucr_ed, kvm_dtw, ucr_dtw;
-};
-
-/// --json OUT: machine-readable results for perf tracking across PRs
-/// (BENCH_fig9.json), tagged with the active SIMD dispatch tier.
-bool WriteJson(const std::string& path, size_t m, int runs,
-               const std::vector<JsonRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f,
-               "{\n  \"bench\": \"fig9_scalability\",\n"
-               "  \"dispatch_tier\": \"%s\",\n"
-               "  \"query_length\": %zu,\n  \"runs\": %d,\n"
-               "  \"results\": [\n",
-               simd::TierName(simd::ActiveTier()), m, runs);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"n\": %zu, \"kvm_ed_s\": %.6f, \"ucr_ed_s\": %.6f, "
-                 "\"kvm_dtw_s\": %.6f, \"ucr_dtw_s\": %.6f}%s\n",
-                 rows[i].n, rows[i].kvm_ed, rows[i].ucr_ed, rows[i].kvm_dtw,
-                 rows[i].ucr_dtw, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
@@ -60,7 +26,6 @@ int main(int argc, char** argv) {
               "beta'=1.0, %d runs\n\n", m, runs);
   TablePrinter table({"Data length", "KVM ED (s)", "UCR ED (s)",
                       "KVM DTW (s)", "UCR DTW (s)"});
-  std::vector<JsonRow> json_rows;
   for (size_t n : lengths) {
     const Workload w = Workload::Make(n, flags.seed);
     const MinMax mm = ComputeMinMax(w.series.values());
@@ -74,51 +39,43 @@ int main(int argc, char** argv) {
     Rng rng(flags.seed + 1);
     for (int run = 0; run < runs; ++run) {
       const auto q = MakeQuery(w, m, &rng, 0.05);
-      QueryParams ed{QueryType::kCnsmEd, 0.0, 1.5, beta, 0};
-      ed.epsilon = CalibrateOnPrefix(w, q, ed, fraction, 100'000);
-      QueryParams dtw{QueryType::kCnsmDtw, 0.0, 1.5, beta, rho};
-      dtw.epsilon = CalibrateOnPrefix(w, q, dtw, fraction, 50'000);
-
-      {
-        Stopwatch sw;
-        auto r = kvm.Match(q, ed);
-        if (!r.ok()) return 1;
-        kvm_ed += sw.Seconds();
-      }
-      {
-        Stopwatch sw;
-        ucr.Match(q, ed);
-        ucr_ed += sw.Seconds();
-      }
-      {
-        Stopwatch sw;
-        auto r = kvm.Match(q, dtw);
-        if (!r.ok()) return 1;
-        kvm_dtw += sw.Seconds();
-      }
-      {
-        Stopwatch sw;
-        ucr.Match(q, dtw);
-        ucr_dtw += sw.Seconds();
-      }
+      const std::string row =
+          "n " + std::to_string(n) + " run " + std::to_string(run);
+      // KVM-DP, then UCR Suite, at one calibrated ε; both answers checked.
+      auto time_pair = [&](QueryType type, size_t band, double* kvm_s,
+                           double* ucr_s) {
+        QueryParams params{type, 0.0, 1.5, beta, band};
+        params.epsilon =
+            EpsilonForSelectivity(w.series, w.prefix, q, params, fraction);
+        Stopwatch sw_kvm;
+        auto r = kvm.Match(q, params);
+        *kvm_s += sw_kvm.Seconds();
+        if (!r.ok()) {
+          std::fprintf(stderr, "kvm failed: %s\n",
+                       r.status().ToString().c_str());
+          std::exit(1);
+        }
+        Stopwatch sw_ucr;
+        const auto truth = ucr.Match(q, params);
+        *ucr_s += sw_ucr.Seconds();
+        CheckCalibrated("UCR " + row, truth, TargetMatches(n, m, fraction),
+                        params.epsilon);
+        CheckAnswer("KVM-DP " + row, truth, *r);
+      };
+      time_pair(QueryType::kCnsmEd, 0, &kvm_ed, &ucr_ed);
+      time_pair(QueryType::kCnsmDtw, rho, &kvm_dtw, &ucr_dtw);
     }
     const double k = runs;
     table.AddRow({std::to_string(n), TablePrinter::Fmt(kvm_ed / k, 3),
                   TablePrinter::Fmt(ucr_ed / k, 3),
                   TablePrinter::Fmt(kvm_dtw / k, 3),
                   TablePrinter::Fmt(ucr_dtw / k, 3)});
-    json_rows.push_back({n, kvm_ed / k, ucr_ed / k, kvm_dtw / k, ucr_dtw / k});
   }
   table.Print();
-  if (!flags.json_out.empty() && !WriteJson(flags.json_out, m, runs,
-                                            json_rows)) {
-    std::fprintf(stderr, "cannot write %s\n", flags.json_out.c_str());
-    return 1;
-  }
   std::printf(
       "\nExpected shape (paper Fig. 9): UCR time grows linearly with data\n"
       "length; KVM-DP grows much more slowly, opening a gap of orders of\n"
       "magnitude as the series lengthens (2-3 orders at the paper's 10^12\n"
       "scale).\n");
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

@@ -13,15 +13,12 @@
 // delta — how much an epoch flip costs a reader — and the append/replace
 // latency gap: with epoch delta-commits an append writes only the grown
 // tail chunks (O(appended)), so it should stay flat as the series grows
-// while a replace pays the full O(n) rewrite.
-//
-// Also reported, from the StatsRegistry the catalog feeds (the difference
-// of two snapshots around the contended phase): the per-commit span
-// breakdown (journal / data / index / header / flip wall time) and the
-// write amplification (encoded bytes committed per raw point byte).
+// while a replace pays the full O(n) rewrite. (The per-stage commit time
+// and the bytes written per point of the served store are kvbench's
+// ingest.*_ms_mean and storage.api_bytes_per_point.)
 //
 //   ./bench_ingest_while_query [--n <points per series>] [--runs <mult>]
-//                              [--seed <s>] [--quick]
+//                              [--seed <s>] [--quick] [--json OUT]
 #include "bench_common.h"
 
 #include <atomic>
@@ -130,12 +127,10 @@ int main(int argc, char** argv) {
   sopts.num_threads = 4;
   sopts.max_queue = 4 * batch;
   QueryService service(&catalog, sopts);
-  catalog.SetStatsRegistry(service.stats_registry());
 
   const PhaseResult baseline = RunPhase(&service, requests, rounds);
 
   // Phase 2: identical query load with a live writer.
-  const ServiceStatsSnapshot before = service.Stats();
   std::atomic<bool> stop{false};
   std::atomic<size_t> points_ingested{0};
   std::atomic<size_t> epochs{0};
@@ -208,57 +203,22 @@ int main(int argc, char** argv) {
                   ? 100.0 * (contended.p99_ms - baseline.p99_ms) /
                         baseline.p99_ms
                   : 0.0);
-  if (append_count.load() > 0) {
-    const double append_mean =
-        append_ms_total.load() / static_cast<double>(append_count.load());
-    std::printf("delta commits: %zu appends, mean %.2f ms "
-                "(%zu-point tail into a %zu+-point series)",
-                append_count.load(), append_mean, append_chunk, per_series);
-    if (replace_count.load() > 0) {
-      std::printf("; %zu replaces, mean %.2f ms (full rewrite)",
-                  replace_count.load(),
-                  replace_ms_total.load() /
-                      static_cast<double>(replace_count.load()));
-    }
-    std::printf("\n");
-  }
-
-  // Commit span breakdown over the contended phase.
-  const ServiceStatsSnapshot after = service.Stats();
-  const auto delta = [&](Metric m, std::string_view label = {}) {
-    return after.Value(m, label) - before.Value(m, label);
+  // Append vs replace commit latency: a delta commit writes the grown
+  // tail chunks, a replace rewrites the series.
+  TablePrinter commits({"Commit", "Count", "Points", "Mean (ms)"});
+  auto add_commit = [&](const char* kind, size_t count, size_t points,
+                        double total_ms) {
+    commits.AddRow({kind, TablePrinter::FmtInt(count),
+                    TablePrinter::FmtInt(points),
+                    TablePrinter::Fmt(count > 0 ? total_ms / count : 0.0, 2)});
   };
-  const double appends = delta(Metric::kCommits, "append");
-  const double replaces = delta(Metric::kCommits, "replace");
-  const double commits = delta(Metric::kCommits, "create") + appends +
-                         replaces;
-  if (commits > 0) {
-    const char* stages[] = {"journal", "data", "index", "header", "flip"};
-    double stage_total = 0.0;
-    for (const char* stage : stages) {
-      stage_total += delta(Metric::kCommitStageMs, stage);
-    }
-    std::printf("\ncommit spans (%.0f commits: %.0f append, %.0f replace):\n",
-                commits, appends, replaces);
-    TablePrinter spans({"Stage", "Total (ms)", "Mean (ms)", "Share"});
-    for (const char* stage : stages) {
-      const double total = delta(Metric::kCommitStageMs, stage);
-      spans.AddRow({stage, TablePrinter::Fmt(total, 1),
-                    TablePrinter::Fmt(total / commits, 3),
-                    TablePrinter::Fmt(
-                        stage_total > 0.0 ? 100.0 * total / stage_total : 0.0,
-                        1) + "%"});
-    }
-    spans.Print();
-    const double raw_bytes = 8.0 * static_cast<double>(points_ingested.load());
-    const double commit_bytes = delta(Metric::kCommitBytes);
-    if (raw_bytes > 0) {
-      std::printf("write amplification: %.2fx (%.0f committed bytes / "
-                  "%.0f raw point bytes; %.0f chunk rows, %.0f index rows)\n",
-                  commit_bytes / raw_bytes, commit_bytes, raw_bytes,
-                  delta(Metric::kCommitChunkRows),
-                  delta(Metric::kCommitIndexRows));
-    }
-  }
-  return 0;
+  add_commit("append", append_count.load(), append_chunk,
+             append_ms_total.load());
+  add_commit("replace", replace_count.load(), per_series,
+             replace_ms_total.load());
+  std::printf("\n");
+  commits.Print();
+  const bool written = TablePrinter::WriteJson(
+      flags, {{"query latency", &table}, {"commit latency", &commits}});
+  return written ? 0 : 1;
 }

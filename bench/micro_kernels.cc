@@ -4,17 +4,17 @@
 // comparison benches for the SIMD verify kernels (BM_Simd*<scalar> vs
 // BM_Simd*<avx2> on the same inputs).
 //
-//   ./bench_micro_kernels [gbench flags] [--json OUT]
+//   ./bench_micro_kernels [gbench flags]
 //
-// --json writes {name, ns_per_op, bytes_per_s, tier} rows for tracking
-// perf trajectory across PRs (BENCH_micro_kernels.json).
+// Machine-readable results come from Google Benchmark itself:
+// --benchmark_out=OUT --benchmark_out_format=json. The context block of
+// that file carries the process's SIMD dispatch tier as "dispatch_tier".
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -274,100 +274,17 @@ void RegisterSimdKernelBenches() {
   }
 }
 
-// ---- --json OUT: machine-readable results ----
-
-struct JsonRow {
-  std::string name;
-  std::string tier;
-  double ns_per_op = 0.0;
-  double bytes_per_s = 0.0;
-};
-
-/// Console reporter that also collects every run, so the human-readable
-/// table still prints while --json captures machine-readable rows.
-class JsonCollector : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      JsonRow row;
-      row.name = run.benchmark_name();
-      if (row.name.find("<scalar>") != std::string::npos) {
-        row.tier = "scalar";
-      } else if (row.name.find("<avx2>") != std::string::npos) {
-        row.tier = "avx2";
-      } else {
-        // Non-tiered benches run whatever the process-wide dispatch chose.
-        row.tier = simd::TierName(simd::ActiveTier());
-      }
-      if (run.iterations > 0) {
-        row.ns_per_op =
-            run.real_accumulated_time / static_cast<double>(run.iterations) *
-            1e9;
-      }
-      if (auto it = run.counters.find("bytes_per_second");
-          it != run.counters.end()) {
-        row.bytes_per_s = it->second.value;
-      }
-      rows_.push_back(std::move(row));
-    }
-  }
-
-  bool Write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f,
-                 "{\n  \"bench\": \"micro_kernels\",\n"
-                 "  \"dispatch_tier\": \"%s\",\n  \"results\": [\n",
-                 simd::TierName(simd::ActiveTier()));
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"tier\": \"%s\", "
-                   "\"ns_per_op\": %.3f, \"bytes_per_s\": %.0f}%s\n",
-                   rows_[i].name.c_str(), rows_[i].tier.c_str(),
-                   rows_[i].ns_per_op, rows_[i].bytes_per_s,
-                   i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::vector<JsonRow> rows_;
-};
-
 }  // namespace
 }  // namespace kvmatch
 
 int main(int argc, char** argv) {
-  // Peel off --json OUT before google-benchmark sees the argument list.
-  std::string json_path;
-  std::vector<char*> args;
-  args.reserve(static_cast<size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int args_count = static_cast<int>(args.size()) - 1;
-
-  benchmark::Initialize(&args_count, args.data());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "dispatch_tier",
+      kvmatch::simd::TierName(kvmatch::simd::ActiveTier()));
   kvmatch::RegisterSimdKernelBenches();
-  if (json_path.empty()) {
-    benchmark::RunSpecifiedBenchmarks();
-  } else {
-    kvmatch::JsonCollector collector;
-    benchmark::RunSpecifiedBenchmarks(&collector);
-    if (!collector.Write(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

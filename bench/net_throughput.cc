@@ -201,7 +201,9 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
     for (auto& stack : shards) stack->server->Stop();
   }
   table.Print();
-  return any_failed ? 1 : 0;
+  const bool written =
+      TablePrinter::WriteJson(flags, {{"shard scaling", &table}});
+  return written && !any_failed ? 0 : 1;
 }
 
 // ------------------------------------------------- idle-connection sweep
@@ -324,12 +326,6 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
   }
   if (sweep.empty() || sweep.back() != max_idle) sweep.push_back(max_idle);
 
-  struct Row {
-    size_t idle;
-    double p99_ms, mean_ms, qps;
-    size_t rss_kb, fds, threads;
-  };
-  std::vector<Row> rows;
   TablePrinter table({"Idle conns", "Queries", "p99 (ms)", "mean (ms)",
                       "QPS", "RSS (MB)", "FDs", "Threads"});
   for (size_t idle : sweep) {
@@ -415,25 +411,17 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
             : latencies[std::min(latencies.size() - 1,
                                  latencies.size() * 99 / 100)];
 
-    Row row;
-    row.idle = idle;
-    row.p99_ms = p99;
-    row.mean_ms = mean;
-    row.qps = seconds > 0.0
-                  ? static_cast<double>(latencies.size()) / seconds
-                  : 0.0;
-    row.rss_kb = ReadProcStatus("VmRSS:");
-    row.fds = CountOpenFds();
-    row.threads = ReadProcStatus("Threads:");
-    rows.push_back(row);
+    const double qps =
+        seconds > 0.0 ? static_cast<double>(latencies.size()) / seconds : 0.0;
     table.AddRow({TablePrinter::FmtInt(idle),
                   TablePrinter::FmtInt(latencies.size()),
                   TablePrinter::Fmt(p99, 2), TablePrinter::Fmt(mean, 2),
-                  TablePrinter::Fmt(row.qps, 1),
+                  TablePrinter::Fmt(qps, 1),
                   TablePrinter::Fmt(
-                      static_cast<double>(row.rss_kb) / 1024.0, 1),
-                  TablePrinter::FmtInt(row.fds),
-                  TablePrinter::FmtInt(row.threads)});
+                      static_cast<double>(ReadProcStatus("VmRSS:")) / 1024.0,
+                      1),
+                  TablePrinter::FmtInt(CountOpenFds()),
+                  TablePrinter::FmtInt(ReadProcStatus("Threads:"))});
     if (failed > 0) {
       std::fprintf(stderr, "warning: %zu queries failed at %zu idle\n",
                    failed, idle);
@@ -447,38 +435,14 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
       ::waitpid(pid, &wstatus, 0);
     }
     // Let the server observe the disconnects before the next row.
-    const size_t t0 = server.ActiveConnections();
     for (int spin = 0; spin < 200 && server.ActiveConnections() > 1;
          ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    (void)t0;
   }
   table.Print();
   server.Stop();
-
-  if (!flags.json_out.empty()) {
-    std::FILE* f = std::fopen(flags.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"net_idle_connections\",\n"
-                    "  \"results\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(
-          f,
-          "    {\"idle\": %zu, \"p99_ms\": %.4f, \"mean_ms\": %.4f, "
-          "\"qps\": %.2f, \"rss_kb\": %zu, \"fds\": %zu, "
-          "\"threads\": %zu}%s\n",
-          rows[i].idle, rows[i].p99_ms, rows[i].mean_ms, rows[i].qps,
-          rows[i].rss_kb, rows[i].fds, rows[i].threads,
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"idle connections", &table}}) ? 0 : 1;
 }
 
 }  // namespace
@@ -609,5 +573,5 @@ int main(int argc, char** argv) {
   }
   table.Print();
   server.Stop();
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"client scaling", &table}}) ? 0 : 1;
 }

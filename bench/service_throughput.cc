@@ -6,10 +6,12 @@
 // Catalog of store-backed sessions with the synchronized row cache, and a
 // fixed batch of mixed ε-match queries fanned across the series. The same
 // batch is replayed at each pool size; speedup is wall-clock relative to
-// the 1-thread run.
+// the 1-thread run. A second table times one verify-heavy query with and
+// without intra-query parallel verify. (Tracing overhead on the served
+// path is kvbench's trace.overhead_frac.)
 //
 //   ./bench_service_throughput [--n <total points>] [--runs <batch mult>]
-//                              [--seed <s>] [--quick]
+//                              [--seed <s>] [--quick] [--json OUT]
 #include "bench_common.h"
 
 #include <cmath>
@@ -191,42 +193,8 @@ int main(int argc, char** argv) {
   std::printf("\nnote: like the table above, intra-query speedup is "
               "bounded by available cores (hardware_concurrency=%u)\n",
               std::thread::hardware_concurrency());
-
-  // ---- Tracing overhead: the same batch replayed with per-request span
-  // collection off vs on. Off is the production default and must stay
-  // within noise of the pre-tracing baseline (the <5% regression budget);
-  // on shows what a "trace everything" deployment pays.
-  std::printf("\ntracing overhead: %zu-query batch on 4 threads, "
-              "collect_trace off vs on\n\n",
-              batch);
-  TablePrinter ttable({"Tracing", "Wall (s)", "Agg QPS", "vs off"});
-  double off_seconds = 0.0;
-  for (bool tracing : {false, true}) {
-    std::vector<QueryRequest> traced = requests;
-    for (auto& req : traced) req.collect_trace = tracing;
-    Catalog catalog(&store);
-    QueryService::Options sopts;
-    sopts.num_threads = 4;
-    sopts.max_queue = 2 * batch;
-    QueryService service(&catalog, sopts);
-    Stopwatch sw;
-    auto futures = service.SubmitBatch(traced);
-    size_t failed = 0;
-    for (auto& f : futures) {
-      if (!f.get().status.ok()) ++failed;
-    }
-    const double seconds = sw.Seconds();
-    if (failed > 0) {
-      std::fprintf(stderr, "%zu traced queries failed\n", failed);
-      return 1;
-    }
-    if (!tracing) off_seconds = seconds;
-    ttable.AddRow({tracing ? "on" : "off", TablePrinter::Fmt(seconds, 3),
-                   TablePrinter::Fmt(static_cast<double>(batch) / seconds, 1),
-                   TablePrinter::Fmt(
-                       100.0 * (seconds - off_seconds) / off_seconds, 1) +
-                       "%"});
-  }
-  ttable.Print();
-  return 0;
+  const bool written = TablePrinter::WriteJson(
+      flags,
+      {{"pool scaling", &table}, {"intra-query parallel verify", &ptable}});
+  return written ? 0 : 1;
 }

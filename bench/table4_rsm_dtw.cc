@@ -1,7 +1,9 @@
 // Table IV: RSM queries under DTW — DMatch (duality R-tree) vs KV-matchDP.
 // Columns: selectivity, #candidates, #index accesses, time (ms).
+// Both answers are checked against UCR Suite.
 //
 //   ./table4_rsm_dtw [--n <len>] [--runs <k>] [--seed <s>] [--quick]
+//                    [--json OUT]
 #include "bench_common.h"
 #include "baseline/dmatch.h"
 
@@ -9,7 +11,7 @@ using namespace kvmatch;
 
 int main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.n = std::min<size_t>(flags.n, flags.quick ? 100'000 : 500'000);
+  if (flags.quick) flags.n = std::min<size_t>(flags.n, 100'000);
   flags.runs = std::min(flags.runs, 3);  // DTW verification dominates
   const size_t m = 512;
   const size_t rho = m / 20;  // 5% Sakoe-Chiba band
@@ -28,6 +30,7 @@ int main(int argc, char** argv) {
               stack.build_seconds,
               static_cast<double>(stack.TotalBytes()) / 1e6);
   const KvMatchDp kvm(w.series, w.prefix, stack.ptrs);
+  const UcrSuite ucr(w.series, w.prefix);
 
   TablePrinter table({"Approach", "Selectivity", "#candidates",
                       "#index accesses", "Time (ms)"});
@@ -38,14 +41,20 @@ int main(int argc, char** argv) {
     for (int run = 0; run < flags.runs; ++run) {
       const auto q = MakeQuery(w, m, &rng, 0.05);
       QueryParams params{QueryType::kRsmDtw, 0.0, 1.0, 0.0, rho};
-      params.epsilon =
-          CalibrateOnPrefix(w, q, params, level.fraction, 150'000);
+      params.epsilon = EpsilonForSelectivity(w.series, w.prefix, q, params,
+                                             level.fraction);
+      const std::string row =
+          std::string(level.paper_label) + " run " + std::to_string(run);
+      const auto truth = ucr.Match(q, params);
+      CheckCalibrated(row, truth, TargetMatches(flags.n, m, level.fraction),
+                      params.epsilon);
 
       {
         RtreeMatchStats stats;
         Stopwatch sw;
-        dmatch.Match(q, params.epsilon, rho, &stats);
+        const auto r = dmatch.Match(q, params.epsilon, rho, &stats);
         dm_ms += sw.Ms();
+        CheckAnswer("DMatch " + row, truth, r);
         dm_cand += static_cast<double>(stats.candidate_positions);
         dm_acc += static_cast<double>(stats.index_accesses);
       }
@@ -59,6 +68,7 @@ int main(int argc, char** argv) {
                        r.status().ToString().c_str());
           return 1;
         }
+        CheckAnswer("KVM-DP " + row, truth, *r);
         kv_cand += static_cast<double>(stats.candidate_positions);
         kv_acc += static_cast<double>(stats.probe.index_accesses);
       }
@@ -76,5 +86,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Table IV): DMatch verifies 1-2 orders of\n"
       "magnitude more candidates; KVM-DP needs only a few index scans and\n"
       "wins total time at every selectivity.\n");
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

@@ -1,13 +1,9 @@
 // Table V: cNSM queries under ED — KVM-DP across the (α, β′) grid vs the
-// UCR Suite and FAST full scans.
-//
-// β′ is the relative offset shift: β = (max(X) - min(X)) · β′%.
+// UCR Suite and FAST full scans (CnsmGridTable in bench_common.h).
 //
 //   ./table5_cnsm_ed [--n <len>] [--runs <k>] [--seed <s>] [--quick]
+//                    [--json OUT]
 #include "bench_common.h"
-
-#include "baseline/fast_matcher.h"
-#include "baseline/ucr_suite.h"
 
 using namespace kvmatch;
 
@@ -19,79 +15,12 @@ int main(int argc, char** argv) {
   std::printf("Table V reproduction: cNSM-ED, n=%zu, |Q|=%zu, %d runs\n\n",
               flags.n, m, flags.runs);
   const Workload w = Workload::Make(flags.n, flags.seed);
-  const MinMax mm = ComputeMinMax(w.series.values());
-  const double range = mm.max - mm.min;
-
-  const DpStack stack(w.series);
-  const KvMatchDp kvm(w.series, w.prefix, stack.ptrs);
-  const UcrSuite ucr(w.series, w.prefix);
-  const FastMatcher fast(w.series, w.prefix);
-
-  const double alphas[] = {1.1, 1.5, 2.0};
-  const double beta_primes[] = {1.0, 5.0, 10.0};
-
-  TablePrinter table({"Selectivity", "alpha", "KVM b'=1.0 (ms)",
-                      "KVM b'=5.0 (ms)", "KVM b'=10.0 (ms)", "UCR avg (ms)",
-                      "FAST avg (ms)"});
-  Rng rng(flags.seed + 1);
-  for (const auto& level : PaperSelectivities(flags.quick)) {
-    // Calibrate ε once per selectivity with middle constraints.
-    std::vector<std::vector<double>> q_batch;
-    std::vector<double> eps_batch;
-    for (int run = 0; run < flags.runs; ++run) {
-      auto q = MakeQuery(w, m, &rng, 0.05);
-      QueryParams cal{QueryType::kCnsmEd, 0.0, 1.5,
-                      range * 5.0 / 100.0, 0};
-      eps_batch.push_back(CalibrateOnPrefix(w, q, cal, level.fraction));
-      q_batch.push_back(std::move(q));
-    }
-
-    // UCR and FAST runtimes are stable across (α, β); the paper reports a
-    // per-selectivity average. Use the middle constraint setting.
-    double ucr_ms = 0, fast_ms = 0;
-    for (int run = 0; run < flags.runs; ++run) {
-      QueryParams params{QueryType::kCnsmEd, eps_batch[run], 1.5,
-                         range * 5.0 / 100.0, 0};
-      {
-        Stopwatch sw;
-        ucr.Match(q_batch[run], params);
-        ucr_ms += sw.Ms();
-      }
-      {
-        Stopwatch sw;
-        fast.Match(q_batch[run], params);
-        fast_ms += sw.Ms();
-      }
-    }
-
-    for (double alpha : alphas) {
-      std::vector<std::string> row = {level.paper_label,
-                                      TablePrinter::Fmt(alpha)};
-      for (double bp : beta_primes) {
-        double kvm_ms = 0;
-        for (int run = 0; run < flags.runs; ++run) {
-          QueryParams params{QueryType::kCnsmEd, eps_batch[run], alpha,
-                             range * bp / 100.0, 0};
-          Stopwatch sw;
-          auto r = kvm.Match(q_batch[run], params);
-          kvm_ms += sw.Ms();
-          if (!r.ok()) {
-            std::fprintf(stderr, "kvm failed: %s\n",
-                         r.status().ToString().c_str());
-            return 1;
-          }
-        }
-        row.push_back(TablePrinter::Fmt(kvm_ms / flags.runs, 2));
-      }
-      row.push_back(TablePrinter::Fmt(ucr_ms / flags.runs, 2));
-      row.push_back(TablePrinter::Fmt(fast_ms / flags.runs, 2));
-      table.AddRow(std::move(row));
-    }
-  }
+  const TablePrinter table =
+      CnsmGridTable(flags, w, QueryType::kCnsmEd, m, 0);
   table.Print();
   std::printf(
       "\nExpected shape (paper Table V): KVM-DP grows with selectivity and\n"
       "with looser (α, β'); UCR/FAST are flat (full scans) and 1-2 orders\n"
       "slower; FAST's extra bounds don't pay off under ED.\n");
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

@@ -1,17 +1,16 @@
 // Table VI: cNSM queries under DTW — KVM-DP across the (α, β′) grid vs the
-// UCR Suite and FAST full scans (ρ = 5% of |Q|).
+// UCR Suite and FAST full scans, ρ = 5% of |Q| (CnsmGridTable in
+// bench_common.h).
 //
 //   ./table6_cnsm_dtw [--n <len>] [--runs <k>] [--seed <s>] [--quick]
+//                     [--json OUT]
 #include "bench_common.h"
-
-#include "baseline/fast_matcher.h"
-#include "baseline/ucr_suite.h"
 
 using namespace kvmatch;
 
 int main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
-  flags.n = std::min<size_t>(flags.n, flags.quick ? 100'000 : 500'000);
+  if (flags.quick) flags.n = std::min<size_t>(flags.n, 100'000);
   flags.runs = std::min(flags.runs, 3);  // DTW verification dominates
   const size_t m = 512;
   const size_t rho = m / 20;
@@ -20,77 +19,12 @@ int main(int argc, char** argv) {
       "Table VI reproduction: cNSM-DTW, n=%zu, |Q|=%zu, rho=%zu, %d runs\n\n",
       flags.n, m, rho, flags.runs);
   const Workload w = Workload::Make(flags.n, flags.seed);
-  const MinMax mm = ComputeMinMax(w.series.values());
-  const double range = mm.max - mm.min;
-
-  const DpStack stack(w.series);
-  const KvMatchDp kvm(w.series, w.prefix, stack.ptrs);
-  const UcrSuite ucr(w.series, w.prefix);
-  const FastMatcher fast(w.series, w.prefix);
-
-  const double alphas[] = {1.1, 1.5, 2.0};
-  const double beta_primes[] = {1.0, 5.0, 10.0};
-
-  TablePrinter table({"Selectivity", "alpha", "KVM b'=1.0 (ms)",
-                      "KVM b'=5.0 (ms)", "KVM b'=10.0 (ms)", "UCR avg (ms)",
-                      "FAST avg (ms)"});
-  Rng rng(flags.seed + 1);
-  for (const auto& level : PaperSelectivities(flags.quick)) {
-    std::vector<std::vector<double>> q_batch;
-    std::vector<double> eps_batch;
-    for (int run = 0; run < flags.runs; ++run) {
-      auto q = MakeQuery(w, m, &rng, 0.05);
-      QueryParams cal{QueryType::kCnsmDtw, 0.0, 1.5, range * 5.0 / 100.0,
-                      rho};
-      eps_batch.push_back(
-          CalibrateOnPrefix(w, q, cal, level.fraction, 100'000));
-      q_batch.push_back(std::move(q));
-    }
-
-    double ucr_ms = 0, fast_ms = 0;
-    for (int run = 0; run < flags.runs; ++run) {
-      QueryParams params{QueryType::kCnsmDtw, eps_batch[run], 1.5,
-                         range * 5.0 / 100.0, rho};
-      {
-        Stopwatch sw;
-        ucr.Match(q_batch[run], params);
-        ucr_ms += sw.Ms();
-      }
-      {
-        Stopwatch sw;
-        fast.Match(q_batch[run], params);
-        fast_ms += sw.Ms();
-      }
-    }
-
-    for (double alpha : alphas) {
-      std::vector<std::string> row = {level.paper_label,
-                                      TablePrinter::Fmt(alpha)};
-      for (double bp : beta_primes) {
-        double kvm_ms = 0;
-        for (int run = 0; run < flags.runs; ++run) {
-          QueryParams params{QueryType::kCnsmDtw, eps_batch[run], alpha,
-                             range * bp / 100.0, rho};
-          Stopwatch sw;
-          auto r = kvm.Match(q_batch[run], params);
-          kvm_ms += sw.Ms();
-          if (!r.ok()) {
-            std::fprintf(stderr, "kvm failed: %s\n",
-                         r.status().ToString().c_str());
-            return 1;
-          }
-        }
-        row.push_back(TablePrinter::Fmt(kvm_ms / flags.runs, 2));
-      }
-      row.push_back(TablePrinter::Fmt(ucr_ms / flags.runs, 2));
-      row.push_back(TablePrinter::Fmt(fast_ms / flags.runs, 2));
-      table.AddRow(std::move(row));
-    }
-  }
+  const TablePrinter table =
+      CnsmGridTable(flags, w, QueryType::kCnsmDtw, m, rho);
   table.Print();
   std::printf(
       "\nExpected shape (paper Table VI): KVM-DP still wins, by a smaller\n"
       "factor at the loosest settings; under DTW FAST's extra bounds beat\n"
       "plain UCR (unlike Table V).\n");
-  return 0;
+  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

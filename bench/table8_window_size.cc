@@ -2,7 +2,9 @@
 // plus a γ (merge-threshold) ablation — the design choice DESIGN.md calls
 // out for the row-merge step.
 //
-//   ./table8_window_size [--n <len>] [--seed <s>] [--quick]
+// It matches no queries, so it has no answers to check.
+//
+//   ./table8_window_size [--n <len>] [--seed <s>] [--quick] [--json OUT]
 #include "bench_common.h"
 
 using namespace kvmatch;
@@ -60,5 +62,7 @@ int main(int argc, char** argv) {
   std::printf("\nLarger gamma merges more aggressively: fewer, fatter rows "
               "and fewer rows per scan,\nat the cost of more negative "
               "candidates per row (bounded by the row-width cap).\n");
-  return 0;
+  const bool written = TablePrinter::WriteJson(
+      flags, {{"window size", &table}, {"merge threshold", &ablation}});
+  return written ? 0 : 1;
 }

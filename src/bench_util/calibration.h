@@ -1,38 +1,38 @@
 // Selectivity calibration (paper §VIII): the evaluation fixes a target
-// selectivity (matches / possible offsets, e.g. 10⁻⁷) and adjusts ε until
-// a query reaches it. We binary-search ε against the UCR Suite scan (exact
-// and fast enough at bench scale).
+// selectivity (matches / possible offsets, e.g. 10⁻⁷) and sets ε so that a
+// query reaches it. Here ε is exact: the k-th smallest distance over every
+// offset of the series, found in one UCR Suite pass with a best-so-far
+// bound (Rakthanmanon et al., KDD 2012).
 #ifndef KVMATCH_BENCH_UTIL_CALIBRATION_H_
 #define KVMATCH_BENCH_UTIL_CALIBRATION_H_
 
 #include <span>
 
-#include "baseline/ucr_suite.h"
 #include "match/query_types.h"
+#include "ts/stats_oracle.h"
+#include "ts/time_series.h"
 
 namespace kvmatch {
 
-/// Finds ε such that the match count of `q` over `series` is close to
-/// `target_selectivity * (n - m + 1)` (at least 1 match). Returns the
-/// calibrated ε; `params.epsilon` is ignored on input.
-///
-/// `hi_hint` (> 0) supplies a known upper bracket for ε and skips the
-/// doubling phase. Crucial for DTW: bracketing with a huge ε defeats every
-/// lower bound and each probe scan degenerates to full DTW per offset.
-/// Since DTW_ρ <= ED, the ED-calibrated ε is always a valid DTW bracket —
-/// CalibrateEpsilonViaEd exploits exactly that.
-double CalibrateEpsilon(const TimeSeries& series, const PrefixStats& prefix,
-                        std::span<const double> q, QueryParams params,
-                        double target_selectivity, int max_iters = 24,
-                        double hi_hint = 0.0);
+/// k = max(1, round(fraction · (n − m + 1))): the match count a selectivity
+/// asks for on a length-n series and a length-m query.
+size_t TargetMatches(size_t n, size_t m, double fraction);
 
-/// For DTW query types: calibrates the matching ED variant first (cheap),
-/// then bisects the DTW ε below that bracket. For ED types this is plain
-/// CalibrateEpsilon.
-double CalibrateEpsilonViaEd(const TimeSeries& series,
+/// The ε at which `q` matches exactly k = TargetMatches(n, |q|, fraction)
+/// windows of `series`, and more only when windows tie at the k-th
+/// distance: that k-th smallest distance over every offset in [0, n − m].
+/// When fewer than k windows are eligible (cNSM constraints), it is the
+/// largest eligible distance, and 0 when none is. `params.epsilon` is
+/// ignored.
+///
+/// One Verifier pass over every offset keeps a TopKHeap of capacity k with
+/// no exclusion zone; once the heap is full its top prunes the rest. A DTW
+/// type starts that bound at the matching ED type's answer for the same k:
+/// DTW_ρ <= ED window by window, so at least k windows lie within it.
+double EpsilonForSelectivity(const TimeSeries& series,
                              const PrefixStats& prefix,
                              std::span<const double> q, QueryParams params,
-                             double target_selectivity, int max_iters = 24);
+                             double fraction);
 
 }  // namespace kvmatch
 

@@ -2,11 +2,18 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace kvmatch {
 
 BenchFlags BenchFlags::Parse(int argc, char** argv) {
   BenchFlags flags;
+  if (argc > 0) {
+    const std::string_view path = argv[0];
+    flags.bench = path.substr(path.find_last_of('/') + 1);
+    if (flags.bench.starts_with("bench_")) flags.bench.erase(0, 6);
+    flags.args.assign(argv + 1, argv + argc);
+  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       flags.n = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));

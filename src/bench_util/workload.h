@@ -22,6 +22,8 @@ struct BenchFlags {
   uint64_t seed = 42;
   bool quick = false;     // shrink sweeps for smoke-testing
   std::string json_out;   // when set, also emit machine-readable results
+  std::string bench;      // program name without its "bench_" prefix
+  std::vector<std::string> args;  // the command line after the program
 
   static BenchFlags Parse(int argc, char** argv);
 };

@@ -1,17 +1,37 @@
-// Tests for bench_util: ε calibration (including the DTW-via-ED bracket),
-// flag parsing, workload construction and the table printer.
+// Tests for bench_util: exact ε calibration (including the ED-seeded DTW
+// pass), flag parsing, workload construction, and the table printer and
+// its JSON emitter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "baseline/ucr_suite.h"
 #include "bench_util/calibration.h"
 #include "bench_util/table_printer.h"
 #include "bench_util/workload.h"
+#include "distance/simd/kernels.h"
+#include "match/top_k.h"
 
 namespace kvmatch {
 namespace {
+
+/// UCR Suite's answer at `eps`, sorted by (distance, offset).
+std::vector<MatchResult> SortedAnswer(const Workload& w,
+                                      std::span<const double> q,
+                                      QueryParams params, double eps) {
+  params.epsilon = eps;
+  auto answer = UcrSuite(w.series, w.prefix).Match(q, params);
+  std::sort(answer.begin(), answer.end(), MatchOrderLess);
+  return answer;
+}
 
 TEST(CalibrationTest, HitsTargetForEd) {
   const Workload w = Workload::Make(30000, 401);
@@ -20,51 +40,45 @@ TEST(CalibrationTest, HitsTargetForEd) {
   for (double fraction : {1e-3, 1e-2}) {
     QueryParams params{QueryType::kRsmEd, 0.0, 1.0, 0.0, 0};
     const double eps =
-        CalibrateEpsilon(w.series, w.prefix, q, params, fraction);
-    params.epsilon = eps;
-    const UcrSuite ucr(w.series, w.prefix);
-    const double count = static_cast<double>(ucr.Match(q, params).size());
-    const double target = std::max(
-        1.0, std::round(fraction *
-                        static_cast<double>(w.series.size() - 128 + 1)));
-    EXPECT_GE(count, target) << "fraction=" << fraction;
-    // Binary search converges to (roughly) the smallest qualifying ε.
-    params.epsilon = eps * 0.8;
-    EXPECT_LT(static_cast<double>(ucr.Match(q, params).size()),
-              count + 1.0);
+        EpsilonForSelectivity(w.series, w.prefix, q, params, fraction);
+    const size_t k = TargetMatches(w.series.size(), 128, fraction);
+    const auto at = SortedAnswer(w, q, params, eps);
+    // Exactly k matches, apart from ties at ε; one ulp below, fewer.
+    ASSERT_GE(at.size(), k) << "fraction=" << fraction;
+    EXPECT_EQ(at[k - 1].distance, eps);
+    EXPECT_EQ(at.back().distance, eps);
+    EXPECT_LT(SortedAnswer(w, q, params, std::nextafter(eps, 0.0)).size(),
+              k);
   }
 }
 
-TEST(CalibrationTest, ViaEdMatchesDirectDtwCalibration) {
+TEST(CalibrationTest, EdSeededDtwEpsilonIsBitEqualToUnseeded) {
+  // The unseeded reference: every window's DTW distance (ε = +∞), sorted.
   const Workload w = Workload::Make(12000, 403);
   Rng rng(404);
   const auto q = MakeQuery(w, 128, &rng);
-  QueryParams params{QueryType::kRsmDtw, 0.0, 1.0, 0.0, 6};
-  const double direct =
-      CalibrateEpsilon(w.series, w.prefix, q, params, 1e-3);
-  const double via_ed =
-      CalibrateEpsilonViaEd(w.series, w.prefix, q, params, 1e-3);
-  // Both must reach the target; ε values agree within bisection slack.
-  const UcrSuite ucr(w.series, w.prefix);
-  params.epsilon = via_ed;
-  const size_t count = ucr.Match(q, params).size();
-  const double target = std::max(
-      1.0,
-      std::round(1e-3 * static_cast<double>(w.series.size() - 128 + 1)));
-  EXPECT_GE(static_cast<double>(count), target);
-  EXPECT_NEAR(via_ed, direct, direct * 0.25 + 1e-6);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (QueryType type : {QueryType::kRsmDtw, QueryType::kCnsmDtw}) {
+    const QueryParams params{type, 0.0, 1.5, 2.0, 6};
+    const auto all = SortedAnswer(w, q, params, inf);
+    ASSERT_GT(all.size(), 100u);
+    for (double fraction : {0.0, 1e-3, 5e-3}) {
+      const size_t k = TargetMatches(w.series.size(), 128, fraction);
+      const double eps =
+          EpsilonForSelectivity(w.series, w.prefix, q, params, fraction);
+      EXPECT_EQ(std::bit_cast<uint64_t>(eps),
+                std::bit_cast<uint64_t>(all[k - 1].distance))
+          << "type " << static_cast<int>(type) << " k=" << k;
+    }
+  }
 }
 
-TEST(CalibrationTest, HiHintSkipsBracketAndStaysCorrect) {
-  const Workload w = Workload::Make(12000, 405);
-  Rng rng(406);
-  const auto q = MakeQuery(w, 128, &rng);
-  QueryParams params{QueryType::kRsmEd, 0.0, 1.0, 0.0, 0};
-  const double free_eps =
-      CalibrateEpsilon(w.series, w.prefix, q, params, 1e-3);
-  const double hinted = CalibrateEpsilon(w.series, w.prefix, q, params,
-                                         1e-3, 24, free_eps * 4.0);
-  EXPECT_NEAR(hinted, free_eps, free_eps * 0.3 + 1e-9);
+TEST(CalibrationTest, TargetMatchesRoundsAndClamps) {
+  EXPECT_EQ(TargetMatches(1128, 128, 1e-3), 1u);   // 1.001 matches
+  EXPECT_EQ(TargetMatches(1128, 128, 0.0), 1u);    // at least one
+  EXPECT_EQ(TargetMatches(1128, 128, 2e-3), 2u);
+  EXPECT_EQ(TargetMatches(1128, 128, 1.0), 1001u);
+  EXPECT_EQ(TargetMatches(100, 128, 0.5), 0u);     // no window at all
 }
 
 TEST(BenchFlagsTest, ParsesAllFlags) {
@@ -76,6 +90,16 @@ TEST(BenchFlagsTest, ParsesAllFlags) {
   EXPECT_EQ(flags.runs, 7);
   EXPECT_EQ(flags.seed, 99u);
   EXPECT_TRUE(flags.quick);
+  EXPECT_EQ(flags.bench, "prog");
+  EXPECT_EQ(flags.args.size(), 7u);
+}
+
+TEST(BenchFlagsTest, BenchNameDropsDirectoryAndPrefix) {
+  const char* argv[] = {"build/bench_table3_rsm_ed", "--json", "out.json"};
+  const BenchFlags flags = BenchFlags::Parse(3, const_cast<char**>(argv));
+  EXPECT_EQ(flags.bench, "table3_rsm_ed");
+  EXPECT_EQ(flags.json_out, "out.json");
+  EXPECT_EQ(flags.args, (std::vector<std::string>{"--json", "out.json"}));
 }
 
 TEST(BenchFlagsTest, DefaultsWhenUnset) {
@@ -109,6 +133,48 @@ TEST(TablePrinterTest, FormattersAreStable) {
   EXPECT_EQ(TablePrinter::Fmt(2.0), "2.0");
   EXPECT_EQ(TablePrinter::FmtInt(1234567), "1234567");
   EXPECT_EQ(TablePrinter::FmtSci(0.00012), "1.2e-04");
+}
+
+TEST(TablePrinterTest, JsonHoldsEveryTableWithNumericCellsAsNumbers) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "kvm_table_printer.json")
+          .string();
+  const char* argv[] = {"bench_demo", "--quick", "--json", path.c_str()};
+  const BenchFlags flags = BenchFlags::Parse(4, const_cast<char**>(argv));
+  TablePrinter a({"Selectivity", "Time (ms)", "Share"});
+  a.AddRow({"10^-9", "3.50", "12.5%"});
+  a.AddRow({"1.2e-04", "-", "007"});
+  TablePrinter b({"Name \"q\""});
+  b.AddRow({"back\\slash"});
+  b.AddRow({});  // missing cells print, and emit, as empty strings
+  ASSERT_TRUE(TablePrinter::WriteJson(flags, {{"timing", &a}, {"", &b}}));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  const std::string tier = simd::TierName(simd::ActiveTier());
+  EXPECT_EQ(text.str(),
+            "{\n  \"bench\": \"demo\",\n  \"dispatch_tier\": \"" + tier +
+                "\",\n  \"flags\": {\"n\": 2000000, \"runs\": 3, "
+                "\"seed\": 42, \"quick\": true, \"args\": [\"--quick\", "
+                "\"--json\", \"" + path + "\"]},\n  \"tables\": [\n"
+                "    {\"title\": \"timing\", \"rows\": [\n"
+                "      {\"Selectivity\": \"10^-9\", \"Time (ms)\": 3.50, "
+                "\"Share\": \"12.5%\"},\n"
+                "      {\"Selectivity\": 1.2e-04, \"Time (ms)\": \"-\", "
+                "\"Share\": \"007\"}]},\n"
+                "    {\"title\": \"\", \"rows\": [\n"
+                "      {\"Name \\\"q\\\"\": \"back\\\\slash\"},\n"
+                "      {\"Name \\\"q\\\"\": \"\"}]}\n  ]\n}\n");
+}
+
+TEST(TablePrinterTest, JsonIsSkippedWithoutFlagAndFailsOnBadPath) {
+  const char* argv[] = {"bench_demo", "--json", "/nonexistent-dir/x.json"};
+  TablePrinter t({"a"});
+  EXPECT_TRUE(TablePrinter::WriteJson(
+      BenchFlags::Parse(1, const_cast<char**>(argv)), {{"", &t}}));
+  EXPECT_FALSE(TablePrinter::WriteJson(
+      BenchFlags::Parse(3, const_cast<char**>(argv)), {{"", &t}}));
 }
 
 TEST(StopwatchTest, MeasuresForwardTime) {

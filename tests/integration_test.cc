@@ -3,6 +3,7 @@
 // agreement sweeps on realistic workloads and calibration sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -12,6 +13,7 @@
 #include "bench_util/workload.h"
 #include "common/rng.h"
 #include "index/index_builder.h"
+#include "match/top_k.h"
 #include "match/kv_match.h"
 #include "matchdp/kv_match_dp.h"
 #include "storage/file_kvstore.h"
@@ -146,20 +148,38 @@ TEST(IntegrationTest, AllMatchersAgreeOnUcrLikeWorkload) {
 }
 
 TEST(IntegrationTest, CalibrationHitsTargetCount) {
-  const Workload w = Workload::Make(20000, 87);
-  Rng rng(88);
-  const auto q = MakeQuery(w, 128, &rng);
-  QueryParams params{QueryType::kCnsmEd, 0.0, 1.5, 5.0, 0};
-  const double target_sel = 1e-3;  // ~20 matches at this scale
-  const double eps =
-      CalibrateEpsilon(w.series, w.prefix, q, params, target_sel);
-  params.epsilon = eps;
-  const UcrSuite ucr(w.series, w.prefix);
-  const size_t count = ucr.Match(q, params).size();
-  const double offsets = static_cast<double>(w.series.size() - 128 + 1);
-  const double target = std::max(1.0, std::round(target_sel * offsets));
-  EXPECT_GE(static_cast<double>(count), target);
-  EXPECT_LE(static_cast<double>(count), target * 3 + 5);
+  // A level-shifted series of 1M points: the level jumps every 50k points,
+  // so windows far from a query's level still exist for RSM and fail β
+  // for cNSM.
+  Rng rng(87);
+  std::vector<double> values = GenerateUcrLike(1'000'000, &rng).values();
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] += 10.0 * static_cast<double>((i / 50'000) % 4);
+  }
+  const TimeSeries series(std::move(values));
+  const PrefixStats prefix(series);
+  const size_t m = 128;
+  const auto q = ExtractQuery(series, 412'345, m, 0.05, &rng);
+  const UcrSuite ucr(series, prefix);
+  for (QueryType type : {QueryType::kRsmEd, QueryType::kRsmDtw,
+                         QueryType::kCnsmEd, QueryType::kCnsmDtw}) {
+    for (double fraction : {1e-5, 1e-3}) {
+      QueryParams params{type, 0.0, 1.5, 5.0, IsDtw(type) ? size_t{6} : 0};
+      params.epsilon =
+          EpsilonForSelectivity(series, prefix, q, params, fraction);
+      auto answer = ucr.Match(q, params);
+      std::sort(answer.begin(), answer.end(), MatchOrderLess);
+      // Exactly k UCR Suite matches, apart from ties at ε: every match
+      // past the k-th has distance ε.
+      const size_t k = TargetMatches(series.size(), m, fraction);
+      ASSERT_GE(answer.size(), k)
+          << "type " << static_cast<int>(type) << " fraction " << fraction;
+      for (size_t i = k - 1; i < answer.size(); ++i) {
+        EXPECT_EQ(answer[i].distance, params.epsilon)
+            << "type " << static_cast<int>(type) << " match " << i;
+      }
+    }
+  }
 }
 
 TEST(IntegrationTest, Example1Phenomenon) {

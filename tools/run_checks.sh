@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Full verification pipeline: Release build + the whole ctest suite (run
 # twice — once with native SIMD dispatch, once with KVMATCH_FORCE_SCALAR=1
-# to exercise the portable kernel tier), the verifier cascade ablation as
-# an exactness check on both tiers, then a ThreadSanitizer build of
+# to exercise the portable kernel tier; its `bench` label runs every bench
+# harness in --quick mode, each checking its answers against UCR Suite),
+# then a ThreadSanitizer build of
 # the concurrent service/network/ingest/executor/top-k/stats tests
 # (including the racing-cancel suite) and an ASan+UBSan build of the
 # storage/service/net/ingest/executor/top-k/stats tests plus the crash-point-replay
 # suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
 # (simd_parity_test), the full-range verify of the baselines and the
 # verifier (baseline_test, verifier_test) and the banded DTW DP
-# (distance_test, match_property_test), and the service, ingest and
-# network benches in --quick mode. Mirrors what CI runs; use it
+# (distance_test, match_property_test), and every bench harness
+# (ctest -L bench). Mirrors what CI runs; use it
 # locally before sending a PR.
 #
 #   tools/run_checks.sh [jobs]
@@ -27,13 +28,6 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo
 echo "=== Forced-scalar dispatch: full ctest with KVMATCH_FORCE_SCALAR=1 ==="
 KVMATCH_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "$JOBS"
-
-echo
-echo "=== Lower-bound cascade ablation: every configuration, same matches ==="
-# Exits non-zero if toggling LB_Kim / LB_Keogh changes any returned
-# offset or distance bit; run on both dispatch tiers.
-./build/bench_ablation_verifier --quick
-KVMATCH_FORCE_SCALAR=1 ./build/bench_ablation_verifier --quick
 
 echo
 echo "=== ThreadSanitizer: service/net/coord/ingest/executor/top-k/trace/event-log/session/stats tests ==="
@@ -68,8 +62,12 @@ cmake --build build-asan -j "$JOBS" \
            ingest_test executor_test top_k_test trace_test event_log_test \
            fault_kvstore_test simd_parity_test baseline_test verifier_test \
            distance_test match_property_test session_test stats_test \
-           bench_ingest_while_query bench_service_throughput \
-           bench_net_throughput
+           bench_ablation_verifier bench_fig10_dp_vs_single \
+           bench_fig3_motif_stats bench_fig8_size_buildtime \
+           bench_fig9_scalability bench_ingest_while_query \
+           bench_micro_kernels bench_net_throughput bench_service_throughput \
+           bench_table3_rsm_ed bench_table4_rsm_dtw bench_table5_cnsm_ed \
+           bench_table6_cnsm_dtw bench_table7_frm_ratio bench_table8_window_size
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -93,11 +91,9 @@ KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
 ./build-asan/match_property_test
 ./build-asan/session_test
 ./build-asan/stats_test
-# The benches read the registry through snapshot differences and
-# per-response latencies; run them where memory errors show.
-./build-asan/bench_ingest_while_query --quick
-./build-asan/bench_service_throughput --quick
-./build-asan/bench_net_throughput --quick
+# Every bench harness in --quick mode, answers checked against UCR Suite;
+# run them where memory errors show.
+ctest --test-dir build-asan -L bench --output-on-failure
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
@@ -105,6 +101,9 @@ cmake --build build -j "$JOBS" --target bench_net_throughput
 ./build/bench_net_throughput --idle-connections 1000 --quick \
   --json build/idle_smoke.json
 cat build/idle_smoke.json
+# One loop thread regardless of connection count, as CI's gate asserts.
+test "$(jq '.tables[0].rows | map(.Threads) | unique | length' \
+  build/idle_smoke.json)" -eq 1
 
 echo
 echo "All checks passed."
