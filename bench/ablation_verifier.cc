@@ -88,5 +88,5 @@ int main(int argc, char** argv) {
       "the block envelope) does the heavy lifting, LB_Kim is a cheap first\n"
       "filter, and the full cascade gives the lowest phase-2 time.\n");
   std::printf("All configurations returned UCR Suite's matches.\n");
-  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
+  return WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

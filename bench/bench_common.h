@@ -5,8 +5,9 @@
 // are chosen so the *absolute match counts* mirror the paper's: the
 // paper's selectivity 10⁻⁹..10⁻⁵ of 10⁹ offsets = 1..10⁴ matches; we use
 // 10⁻⁶..10⁻² of ~10⁶ offsets = 1..10⁴ matches. ε is calibrated exactly on
-// the whole series (EpsilonForSelectivity), so a row holds its match count
-// at any --n.
+// the whole series (EpsilonForSelectivity) to a fraction of its n − m + 1
+// offsets, so a row's match count grows with --n: the counts above hold
+// at n ≈ 10⁶ only.
 //
 // Every answer a harness times is checked against UCR Suite at the same
 // parameters (CheckAnswer), and a calibrated row's UCR Suite answer must
@@ -24,9 +25,9 @@
 #include <vector>
 
 #include "baseline/fast_matcher.h"
+#include "baseline/general_match.h"
 #include "baseline/ucr_suite.h"
 #include "bench_util/calibration.h"
-#include "bench_util/table_printer.h"
 #include "bench_util/workload.h"
 #include "index/index_builder.h"
 #include "match/top_k.h"
@@ -114,12 +115,78 @@ inline void CheckCalibrated(const std::string& row,
   std::exit(1);
 }
 
+/// Tables III and IV: KVM-DP for one RSM type against an R-tree baseline
+/// named `name`, whose `baseline(q, ε, &stats)` answers one query, at each
+/// calibrated selectivity: #candidates, #index accesses and time per query.
+template <typename Baseline>
+TablePrinter RsmTable(const BenchFlags& flags, const Workload& w,
+                      QueryType type, size_t m, size_t rho, const char* name,
+                      Baseline baseline) {
+  const DpStack stack(w.series);
+  std::printf("KVM-DP indexes built in %.1fs (%.1f MB)\n\n",
+              stack.build_seconds,
+              static_cast<double>(stack.TotalBytes()) / 1e6);
+  const KvMatchDp kvm(w.series, w.prefix, stack.ptrs);
+  const UcrSuite ucr(w.series, w.prefix);
+
+  TablePrinter table({"Approach", "Selectivity", "#candidates",
+                      "#index accesses", "Time (ms)"});
+  Rng rng(flags.seed + 1);
+  for (const auto& level : PaperSelectivities(flags.quick)) {
+    double bl_cand = 0, bl_acc = 0, bl_ms = 0;
+    double kv_cand = 0, kv_acc = 0, kv_ms = 0;
+    for (int run = 0; run < flags.runs; ++run) {
+      const auto q = MakeQuery(w, m, &rng, 0.05);
+      QueryParams params{type, 0.0, 1.0, 0.0, rho};
+      params.epsilon = EpsilonForSelectivity(w.series, w.prefix, q, params,
+                                             level.fraction);
+      const std::string row =
+          std::string(level.paper_label) + " run " + std::to_string(run);
+      const auto truth = ucr.Match(q, params);
+      CheckCalibrated(row, truth, TargetMatches(flags.n, m, level.fraction),
+                      params.epsilon);
+
+      {
+        RtreeMatchStats stats;
+        Stopwatch sw;
+        const auto r = baseline(q, params.epsilon, &stats);
+        bl_ms += sw.Ms();
+        CheckAnswer(name + (" " + row), truth, r);
+        bl_cand += static_cast<double>(stats.candidate_positions);
+        bl_acc += static_cast<double>(stats.index_accesses);
+      }
+      {
+        MatchStats stats;
+        Stopwatch sw;
+        auto r = kvm.Match(q, params, &stats);
+        kv_ms += sw.Ms();
+        if (!r.ok()) {
+          std::fprintf(stderr, "kvm failed: %s\n",
+                       r.status().ToString().c_str());
+          std::exit(1);
+        }
+        CheckAnswer("KVM-DP " + row, truth, *r);
+        kv_cand += static_cast<double>(stats.candidate_positions);
+        kv_acc += static_cast<double>(stats.probe.index_accesses);
+      }
+    }
+    const double k = flags.runs;
+    table.AddRow({name, level.paper_label, TablePrinter::Fmt(bl_cand / k),
+                  TablePrinter::Fmt(bl_acc / k),
+                  TablePrinter::Fmt(bl_ms / k, 2)});
+    table.AddRow({"KVM-DP", level.paper_label, TablePrinter::Fmt(kv_cand / k),
+                  TablePrinter::Fmt(kv_acc / k),
+                  TablePrinter::Fmt(kv_ms / k, 2)});
+  }
+  return table;
+}
+
 /// Tables V and VI: KVM-DP for one cNSM type across the (α, β′) grid,
-/// β = (max(X) − min(X)) · β′ %, against the UCR Suite and FAST full
-/// scans. Each query's ε is calibrated at the middle constraints (α = 1.5,
-/// β′ = 5), where UCR Suite and FAST are timed: their runtimes barely move
-/// across the grid, and the paper reports a per-selectivity average.
-/// Every answer is checked against UCR Suite at its own constraints.
+/// β = (max(X) − min(X)) · β′ %, next to the UCR Suite full scan at the
+/// same cell. Each query's ε is calibrated at the middle constraints
+/// (α = 1.5, β′ = 5), the only cell where FAST is timed. Every answer is
+/// checked against UCR Suite's at its own cell, and the calibration cell's
+/// UCR Suite answer against its target count.
 inline TablePrinter CnsmGridTable(const BenchFlags& flags, const Workload& w,
                                   QueryType type, size_t m, size_t rho) {
   const MinMax mm = ComputeMinMax(w.series.values());
@@ -133,59 +200,62 @@ inline TablePrinter CnsmGridTable(const BenchFlags& flags, const Workload& w,
   const FastMatcher fast(w.series, w.prefix);
 
   TablePrinter table({"Selectivity", "alpha", "KVM b'=1.0 (ms)",
-                      "KVM b'=5.0 (ms)", "KVM b'=10.0 (ms)", "UCR avg (ms)",
-                      "FAST avg (ms)"});
+                      "UCR b'=1.0 (ms)", "KVM b'=5.0 (ms)", "UCR b'=5.0 (ms)",
+                      "KVM b'=10.0 (ms)", "UCR b'=10.0 (ms)",
+                      "FAST b'=5.0 (ms)"});
   Rng rng(flags.seed + 1);
   for (const auto& level : PaperSelectivities(flags.quick)) {
     std::vector<std::vector<double>> queries;
     std::vector<double> eps;
-    double ucr_ms = 0, fast_ms = 0;
     for (int run = 0; run < flags.runs; ++run) {
-      const std::string row =
-          std::string(level.paper_label) + " run " + std::to_string(run);
-      auto q = MakeQuery(w, m, &rng, 0.05);
-      QueryParams params = params_at(0.0, 1.5, 5.0);
-      params.epsilon = EpsilonForSelectivity(w.series, w.prefix, q, params,
-                                             level.fraction);
-      Stopwatch sw_ucr;
-      const auto truth = ucr.Match(q, params);
-      ucr_ms += sw_ucr.Ms();
-      CheckCalibrated("UCR " + row, truth,
-                      TargetMatches(w.series.size(), m, level.fraction),
-                      params.epsilon);
-      Stopwatch sw_fast;
-      const auto fast_answer = fast.Match(q, params);
-      fast_ms += sw_fast.Ms();
-      CheckAnswer("FAST " + row, truth, fast_answer);
-      queries.push_back(std::move(q));
-      eps.push_back(params.epsilon);
+      queries.push_back(MakeQuery(w, m, &rng, 0.05));
+      eps.push_back(EpsilonForSelectivity(w.series, w.prefix, queries.back(),
+                                          params_at(0.0, 1.5, 5.0),
+                                          level.fraction));
     }
 
     for (double alpha : {1.1, 1.5, 2.0}) {
       std::vector<std::string> cells = {level.paper_label,
                                         TablePrinter::Fmt(alpha)};
+      std::string fast_cell = "-";
       for (double beta_prime : {1.0, 5.0, 10.0}) {
-        double kvm_ms = 0;
+        const bool calibration_cell = alpha == 1.5 && beta_prime == 5.0;
+        double kvm_ms = 0, ucr_ms = 0, fast_ms = 0;
         for (size_t run = 0; run < queries.size(); ++run) {
           const QueryParams params = params_at(eps[run], alpha, beta_prime);
+          const std::string row =
+              std::string(level.paper_label) + " alpha " +
+              TablePrinter::Fmt(alpha) + " b' " +
+              TablePrinter::Fmt(beta_prime) + " run " + std::to_string(run);
           Stopwatch sw;
           auto r = kvm.Match(queries[run], params);
           kvm_ms += sw.Ms();
-          const std::string row =
-              "KVM-DP " + std::string(level.paper_label) + " alpha " +
-              TablePrinter::Fmt(alpha) + " b' " +
-              TablePrinter::Fmt(beta_prime) + " run " + std::to_string(run);
           if (!r.ok()) {
-            std::fprintf(stderr, "%s failed: %s\n", row.c_str(),
+            std::fprintf(stderr, "KVM-DP %s failed: %s\n", row.c_str(),
                          r.status().ToString().c_str());
             std::exit(1);
           }
-          CheckAnswer(row, ucr.Match(queries[run], params), *r);
+          Stopwatch sw_ucr;
+          const auto truth = ucr.Match(queries[run], params);
+          ucr_ms += sw_ucr.Ms();
+          CheckAnswer("KVM-DP " + row, truth, *r);
+          if (calibration_cell) {
+            CheckCalibrated("UCR " + row, truth,
+                            TargetMatches(w.series.size(), m, level.fraction),
+                            params.epsilon);
+            Stopwatch sw_fast;
+            const auto fast_answer = fast.Match(queries[run], params);
+            fast_ms += sw_fast.Ms();
+            CheckAnswer("FAST " + row, truth, fast_answer);
+          }
         }
         cells.push_back(TablePrinter::Fmt(kvm_ms / flags.runs, 2));
+        cells.push_back(TablePrinter::Fmt(ucr_ms / flags.runs, 2));
+        if (calibration_cell) {
+          fast_cell = TablePrinter::Fmt(fast_ms / flags.runs, 2);
+        }
       }
-      cells.push_back(TablePrinter::Fmt(ucr_ms / flags.runs, 2));
-      cells.push_back(TablePrinter::Fmt(fast_ms / flags.runs, 2));
+      cells.push_back(fast_cell);
       table.AddRow(std::move(cells));
     }
   }

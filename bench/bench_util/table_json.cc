@@ -1,9 +1,7 @@
-// TablePrinter::WriteJson, kept in its own file so that programs which
-// only print tables (kvmatch_cli) do not link the JSON emitter.
+// WriteJson: the one --json emitter behind every bench harness.
 #include <cstdio>
 #include <regex>
 
-#include "bench_util/table_printer.h"
 #include "bench_util/workload.h"
 #include "distance/simd/kernels.h"
 
@@ -36,7 +34,7 @@ std::string JsonString(const std::string& s) {
 
 }  // namespace
 
-bool TablePrinter::WriteJson(
+bool WriteJson(
     const BenchFlags& flags,
     const std::vector<std::pair<std::string, const TablePrinter*>>& tables) {
   if (flags.json_out.empty()) return true;
@@ -58,13 +56,13 @@ bool TablePrinter::WriteJson(
     table_sep = ",\n";
     out += "    {\"title\": " + JsonString(title) + ", \"rows\": [";
     const char* row_sep = "\n";
-    for (const auto& row : table->rows_) {
+    for (const auto& row : table->rows()) {
       out += row_sep;
       row_sep = ",\n";
       out += "      {";
-      for (size_t i = 0; i < table->headers_.size(); ++i) {
+      for (size_t i = 0; i < table->headers().size(); ++i) {
         const std::string cell = i < row.size() ? row[i] : "";
-        out += (i > 0 ? ", " : "") + JsonString(table->headers_[i]) + ": " +
+        out += (i > 0 ? ", " : "") + JsonString(table->headers()[i]) + ": " +
                (IsJsonNumber(cell) ? cell : JsonString(cell));
       }
       out += "}";

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       "Expected shape (paper Fig. 10): small-w indexes win only on short\n"
       "queries, large-w only on long ones; KVM-DP tracks or beats the best\n"
       "single index across the whole length range.\n");
-  const bool written = TablePrinter::WriteJson(
+  const bool written = WriteJson(
       flags, {{titles[0], &tables[0]}, {titles[1], &tables[1]}});
   return written ? 0 : 1;
 }

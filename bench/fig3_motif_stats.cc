@@ -147,5 +147,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Fig. 3): ΔMean is a few percent or less and\n"
       "ΔStd is close to 1 — motif pairs satisfy tight cNSM constraints\n"
       "even though none were imposed, so cNSM queries can find them.\n");
-  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
+  return WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

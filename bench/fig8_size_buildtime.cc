@@ -49,5 +49,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper Fig. 8): both index families are a small\n"
       "fraction of the data and grow linearly; KV-index builds are faster\n"
       "than the R-tree baseline (O(n) streaming vs sort/tile + tree).\n");
-  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
+  return WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

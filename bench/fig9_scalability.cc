@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
       "length; KVM-DP grows much more slowly, opening a gap of orders of\n"
       "magnitude as the series lengthens (2-3 orders at the paper's 10^12\n"
       "scale).\n");
-  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
+  return WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

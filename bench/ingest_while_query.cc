@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
              replace_ms_total.load());
   std::printf("\n");
   commits.Print();
-  const bool written = TablePrinter::WriteJson(
+  const bool written = WriteJson(
       flags, {{"query latency", &table}, {"commit latency", &commits}});
   return written ? 0 : 1;
 }

@@ -14,8 +14,7 @@
 // 1/2/.../N in-process shard servers behind a scatter-gather
 // coordinator, and a fixed client pool replays the identical workload
 // through it — the table shows how federated QPS scales with shard
-// count (overhead of the extra hop included). Any failed query makes the
-// bench exit non-zero.
+// count (overhead of the extra hop included).
 //
 // With --idle-connections N the bench instead measures C10k behavior:
 // N idle frame connections are parked against one server (held by forked
@@ -25,6 +24,8 @@
 // count at N = 100 / 1000 / ... / N. The thread count staying flat as N
 // grows is the point of the epoll reactor: connections cost one fd and
 // one registration, not two threads.
+//
+// In every mode a failed query makes the bench exit non-zero.
 //
 //   ./bench_net_throughput [--n <total points>] [--runs <batch mult>]
 //                          [--seed <s>] [--quick] [--shards N]
@@ -64,22 +65,95 @@ struct ShardStack {
   std::unique_ptr<net::Server> server;
 };
 
-int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
-  const size_t kSeries = 8;
-  size_t total_points = flags.n == 2'000'000 ? 400'000 : flags.n;
-  size_t batch = 32 * static_cast<size_t>(std::max(1, flags.runs));
-  if (flags.quick) {
-    total_points = 100'000;
-    batch = 16;
+constexpr size_t kSeries = 8;
+constexpr size_t kQueryLen = 256;
+
+/// Points per series: --n (400k by default, 100k with --quick) over
+/// kSeries series.
+size_t PerSeries(const BenchFlags& flags) {
+  const size_t total =
+      flags.quick ? 100'000 : flags.n == 2'000'000 ? 400'000 : flags.n;
+  return total / kSeries;
+}
+
+/// Ingests series "bench<i>", i < kSeries, each into `catalog_of(name)`.
+/// False, after saying so, when an ingest fails.
+template <typename CatalogOf>
+bool IngestSeries(const BenchFlags& flags, CatalogOf catalog_of) {
+  for (size_t i = 0; i < kSeries; ++i) {
+    const std::string name = "bench" + std::to_string(i);
+    Rng rng(flags.seed + i);
+    if (!catalog_of(name)
+             ->Ingest(name, GenerateUcrLike(PerSeries(flags), &rng))
+             .ok()) {
+      std::fprintf(stderr, "ingest failed\n");
+      return false;
+    }
   }
-  const size_t per_series = total_points / kSeries;
-  const size_t m = 256;
+  return true;
+}
+
+/// Query `j` of a run, by reference (the remote-bench shape): RSM-ED and
+/// cNSM-ED in turn, over the series in turn.
+net::WireQueryRequest BenchQuery(const BenchFlags& flags, size_t j) {
+  net::WireQueryRequest wire;
+  wire.request.series = "bench" + std::to_string(j % kSeries);
+  wire.request.params = {j % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd,
+                         3.0, 1.5, 3.0, 0};
+  wire.by_reference = true;
+  wire.ref_length = kQueryLen;
+  wire.ref_offset = (flags.seed + 1237 * j) % (PerSeries(flags) - kQueryLen);
+  return wire;
+}
+
+/// `clients` connections to `port`, each pipelining its `batch` queries
+/// and then collecting the answers; each answer's server-side latency goes
+/// to `latency` when it is set. Returns the number of failed queries.
+size_t RunClients(const BenchFlags& flags, int port, size_t clients,
+                  size_t batch, LatencyHistogram* latency) {
+  std::vector<std::thread> threads;
+  std::vector<size_t> errors(clients, 0);
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = net::Client::Connect("127.0.0.1", port);
+      if (!client.ok()) {
+        errors[c] = batch;
+        return;
+      }
+      std::vector<uint64_t> ids;
+      for (size_t i = 0; i < batch; ++i) {
+        auto id = (*client)->SendRequest(BenchQuery(flags, c * batch + i));
+        if (!id.ok()) {
+          errors[c] += batch - i;
+          break;
+        }
+        ids.push_back(*id);
+      }
+      for (uint64_t id : ids) {
+        auto response = (*client)->WaitResponse(id);
+        if (!response.ok() || !response->status.ok()) {
+          errors[c] += 1;
+        } else if (latency != nullptr) {
+          latency->Record(response->latency_ms);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  size_t failed = 0;
+  for (size_t e : errors) failed += e;
+  return failed;
+}
+
+int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
+  const size_t batch =
+      flags.quick ? 16 : 32 * static_cast<size_t>(std::max(1, flags.runs));
   const size_t clients = 4;
 
   std::printf("federated net throughput: %zu series x %zu points, "
               "|Q|=%zu, %zu clients x %zu queries, scatter-gather over "
               "loopback shards\n\n",
-              kSeries, per_series, m, clients, batch);
+              kSeries, PerSeries(flags), kQueryLen, clients, batch);
 
   TablePrinter table(
       {"Shards", "Queries", "Seconds", "QPS", "Speedup", "p99 (ms)"});
@@ -116,16 +190,10 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
     }
 
     // Hash-partitioned ingest: each series lands on its owner only.
-    for (size_t i = 0; i < kSeries; ++i) {
-      const std::string name = "bench" + std::to_string(i);
-      Rng rng(flags.seed + i);
-      const uint32_t owner = map->OwnerOf(name);
-      if (!shards[owner]
-               ->catalog->Ingest(name, GenerateUcrLike(per_series, &rng))
-               .ok()) {
-        std::fprintf(stderr, "ingest failed\n");
-        return 1;
-      }
+    if (!IngestSeries(flags, [&](const std::string& name) {
+          return shards[map->OwnerOf(name)]->catalog.get();
+        })) {
+      return 1;
     }
 
     coord::CoordServer::CoordOptions copts;
@@ -138,49 +206,11 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
       return 1;
     }
 
-    std::vector<std::thread> threads;
-    std::vector<size_t> errors(clients, 0);
     Stopwatch sw;
-    for (size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        auto client = net::Client::Connect("127.0.0.1", coordinator.port());
-        if (!client.ok()) {
-          errors[c] = batch;
-          return;
-        }
-        std::vector<uint64_t> ids;
-        for (size_t i = 0; i < batch; ++i) {
-          net::WireQueryRequest wire;
-          wire.request.series =
-              "bench" + std::to_string((c * batch + i) % kSeries);
-          wire.request.params.type =
-              i % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd;
-          wire.request.params.epsilon = 3.0;
-          wire.request.params.alpha = 1.5;
-          wire.request.params.beta = 3.0;
-          wire.by_reference = true;
-          wire.ref_length = m;
-          wire.ref_offset =
-              (flags.seed + 1237 * (c * batch + i)) % (per_series - m);
-          auto id = (*client)->SendRequest(wire);
-          if (!id.ok()) {
-            errors[c] += 1;
-            return;
-          }
-          ids.push_back(*id);
-        }
-        for (uint64_t id : ids) {
-          auto response = (*client)->WaitResponse(id);
-          if (!response.ok() || !response->status.ok()) errors[c] += 1;
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
+    const size_t failed =
+        RunClients(flags, coordinator.port(), clients, batch, nullptr);
     const double seconds = sw.Seconds();
     if (num_shards == 1) baseline_seconds = seconds;
-
-    size_t failed = 0;
-    for (size_t e : errors) failed += e;
     const size_t total = clients * batch - failed;
     const ServiceStatsSnapshot snap =
         coordinator.stats_registry()->Snapshot();
@@ -201,8 +231,7 @@ int RunShardScaling(const BenchFlags& flags, size_t max_shards) {
     for (auto& stack : shards) stack->server->Stop();
   }
   table.Print();
-  const bool written =
-      TablePrinter::WriteJson(flags, {{"shard scaling", &table}});
+  const bool written = WriteJson(flags, {{"shard scaling", &table}});
   return written && !any_failed ? 0 : 1;
 }
 
@@ -283,27 +312,12 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
                  static_cast<unsigned long long>(lim.rlim_max), max_idle);
   }
 
-  const size_t kSeries = 8;
-  size_t total_points = flags.n == 2'000'000 ? 400'000 : flags.n;
-  size_t queries = 64 * static_cast<size_t>(std::max(1, flags.runs));
-  if (flags.quick) {
-    total_points = 100'000;
-    queries = 48;
-  }
-  const size_t per_series = total_points / kSeries;
-  const size_t m = 256;
-
+  const size_t queries =
+      flags.quick ? 48 : 64 * static_cast<size_t>(std::max(1, flags.runs));
   MemKvStore store;
   Catalog catalog(&store);
-  for (size_t i = 0; i < kSeries; ++i) {
-    Rng rng(flags.seed + i);
-    if (!catalog
-             .Ingest("bench" + std::to_string(i),
-                     GenerateUcrLike(per_series, &rng))
-             .ok()) {
-      std::fprintf(stderr, "ingest failed\n");
-      return 1;
-    }
+  if (!IngestSeries(flags, [&](const std::string&) { return &catalog; })) {
+    return 1;
   }
   QueryService service(&catalog, {.num_threads = 4, .max_queue = 4096});
   net::Server::Options nopts;
@@ -318,7 +332,7 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
   std::printf("idle-connection scaling: %zu series x %zu points, |Q|=%zu, "
               "%zu active queries per row, idle holders in forked "
               "processes\n\n",
-              kSeries, per_series, m, queries);
+              kSeries, PerSeries(flags), kQueryLen, queries);
 
   std::vector<size_t> sweep;
   for (size_t n : {size_t{100}, size_t{1000}, size_t{10000}}) {
@@ -328,6 +342,7 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
 
   TablePrinter table({"Idle conns", "Queries", "p99 (ms)", "mean (ms)",
                       "QPS", "RSS (MB)", "FDs", "Threads"});
+  bool any_failed = false;
   for (size_t idle : sweep) {
     // Spawn the holders and wait until every idle connection is up.
     int ready_pipe[2], stop_pipe[2];
@@ -376,19 +391,8 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
     size_t failed = 0;
     Stopwatch total;
     for (size_t i = 0; i < queries; ++i) {
-      net::WireQueryRequest wire;
-      wire.request.series = "bench" + std::to_string(i % kSeries);
-      wire.request.params.type =
-          i % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd;
-      wire.request.params.epsilon = 3.0;
-      wire.request.params.alpha = 1.5;
-      wire.request.params.beta = 3.0;
-      wire.by_reference = true;
-      wire.ref_length = m;
-      wire.ref_offset =
-          (flags.seed + 1237 * i) % (per_series - m);
       Stopwatch sw;
-      auto id = (*client)->SendRequest(wire);
+      auto id = (*client)->SendRequest(BenchQuery(flags, i));
       if (!id.ok()) {
         failed += 1;
         continue;
@@ -423,8 +427,9 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
                   TablePrinter::FmtInt(CountOpenFds()),
                   TablePrinter::FmtInt(ReadProcStatus("Threads:"))});
     if (failed > 0) {
-      std::fprintf(stderr, "warning: %zu queries failed at %zu idle\n",
+      std::fprintf(stderr, "error: %zu queries failed at %zu idle\n",
                    failed, idle);
+      any_failed = true;
     }
 
     // Release the fleet and reap.
@@ -442,52 +447,32 @@ int RunIdleConnections(const BenchFlags& flags, size_t max_idle) {
   }
   table.Print();
   server.Stop();
-  return TablePrinter::WriteJson(flags, {{"idle connections", &table}}) ? 0 : 1;
+  const bool written = WriteJson(flags, {{"idle connections", &table}});
+  return written && !any_failed ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
   size_t shards = 0;
   size_t idle = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (std::strcmp(argv[i], "--idle-connections") == 0 && i + 1 < argc) {
-      idle = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  const BenchFlags flags = BenchFlags::Parse(
+      argc, argv, {{"--shards", &shards}, {"--idle-connections", &idle}});
   if (idle > 0) return RunIdleConnections(flags, idle);
   if (shards > 0) return RunShardScaling(flags, shards);
-  const size_t kSeries = 8;
-  size_t total_points = flags.n == 2'000'000 ? 400'000 : flags.n;
-  size_t batch = 32 * static_cast<size_t>(std::max(1, flags.runs));
-  if (flags.quick) {
-    total_points = 100'000;
-    batch = 16;
-  }
-  const size_t per_series = total_points / kSeries;
-  const size_t m = 256;
-
+  const size_t batch =
+      flags.quick ? 16 : 32 * static_cast<size_t>(std::max(1, flags.runs));
   std::printf("net throughput: %zu series x %zu points, |Q|=%zu, "
               "batch=%zu per client, loopback TCP\n\n",
-              kSeries, per_series, m, batch);
+              kSeries, PerSeries(flags), kQueryLen, batch);
 
   MemKvStore store;
   {
     Catalog ingest_catalog(&store);
     Stopwatch sw;
-    for (size_t i = 0; i < kSeries; ++i) {
-      Rng rng(flags.seed + i);
-      if (!ingest_catalog
-               .Ingest("bench" + std::to_string(i),
-                       GenerateUcrLike(per_series, &rng))
-               .ok()) {
-        std::fprintf(stderr, "ingest failed\n");
-        return 1;
-      }
+    if (!IngestSeries(flags,
+                      [&](const std::string&) { return &ingest_catalog; })) {
+      return 1;
     }
     std::printf("ingest: %.2fs\n\n", sw.Seconds());
   }
@@ -505,55 +490,14 @@ int main(int argc, char** argv) {
   TablePrinter table(
       {"Clients", "Queries", "Seconds", "QPS", "Speedup", "p99 (ms)"});
   double baseline_seconds = 0.0;
+  bool any_failed = false;
   for (size_t clients : {1u, 2u, 4u, 8u}) {
     LatencyHistogram latency;  // server-side, this client count only
-    std::vector<std::thread> threads;
-    std::vector<size_t> errors(clients, 0);
     Stopwatch sw;
-    for (size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        auto client = net::Client::Connect("127.0.0.1", server.port());
-        if (!client.ok()) {
-          errors[c] = batch;
-          return;
-        }
-        std::vector<uint64_t> ids;
-        for (size_t i = 0; i < batch; ++i) {
-          net::WireQueryRequest wire;
-          wire.request.series =
-              "bench" + std::to_string((c * batch + i) % kSeries);
-          wire.request.params.type =
-              i % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd;
-          wire.request.params.epsilon = 3.0;
-          wire.request.params.alpha = 1.5;
-          wire.request.params.beta = 3.0;
-          wire.by_reference = true;
-          wire.ref_length = m;
-          wire.ref_offset =
-              (flags.seed + 1237 * (c * batch + i)) % (per_series - m);
-          auto id = (*client)->SendRequest(wire);
-          if (!id.ok()) {
-            errors[c] += 1;
-            return;
-          }
-          ids.push_back(*id);
-        }
-        for (uint64_t id : ids) {
-          auto response = (*client)->WaitResponse(id);
-          if (!response.ok() || !response->status.ok()) {
-            errors[c] += 1;
-            continue;
-          }
-          latency.Record(response->latency_ms);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
+    const size_t failed =
+        RunClients(flags, server.port(), clients, batch, &latency);
     const double seconds = sw.Seconds();
     if (clients == 1) baseline_seconds = seconds;
-
-    size_t failed = 0;
-    for (size_t e : errors) failed += e;
     const size_t total = clients * batch - failed;
     table.AddRow({TablePrinter::FmtInt(clients), TablePrinter::FmtInt(total),
                   TablePrinter::Fmt(seconds, 2),
@@ -567,11 +511,13 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(latency.TakeSnapshot().Percentile(0.99),
                                     2)});
     if (failed > 0) {
-      std::fprintf(stderr, "warning: %zu queries failed at %zu clients\n",
+      std::fprintf(stderr, "error: %zu queries failed at %zu clients\n",
                    failed, clients);
+      any_failed = true;
     }
   }
   table.Print();
   server.Stop();
-  return TablePrinter::WriteJson(flags, {{"client scaling", &table}}) ? 0 : 1;
+  const bool written = WriteJson(flags, {{"client scaling", &table}});
+  return written && !any_failed ? 0 : 1;
 }

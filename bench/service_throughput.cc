@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   std::printf("\nnote: like the table above, intra-query speedup is "
               "bounded by available cores (hardware_concurrency=%u)\n",
               std::thread::hardware_concurrency());
-  const bool written = TablePrinter::WriteJson(
+  const bool written = WriteJson(
       flags,
       {{"pool scaling", &table}, {"intra-query parallel verify", &ptable}});
   return written ? 0 : 1;

@@ -110,5 +110,5 @@ int main(int argc, char** argv) {
       "MORE candidates than FRM (ratio > 1, growing for small w / large\n"
       "|Q|), but the final intersected set is far SMALLER than FRM's\n"
       "union (ratio << 1).\n");
-  return TablePrinter::WriteJson(flags, {{"", &table}}) ? 0 : 1;
+  return WriteJson(flags, {{"", &table}}) ? 0 : 1;
 }

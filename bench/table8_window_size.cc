@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   std::printf("\nLarger gamma merges more aggressively: fewer, fatter rows "
               "and fewer rows per scan,\nat the cost of more negative "
               "candidates per row (bounded by the row-width cap).\n");
-  const bool written = TablePrinter::WriteJson(
+  const bool written = WriteJson(
       flags, {{"window size", &table}, {"merge threshold", &ablation}});
   return written ? 0 : 1;
 }

@@ -4,14 +4,15 @@
 // truck, find other crossings of trucks in a similar weight class by
 // constraining the amplitude scaling (α) and mean (β) — a cNSM query that
 // plain NSM cannot express (it would also return cars and motorbikes,
-// whose normalized pulses look identical).
+// whose normalized pulses look identical). Exits 1 unless the constrained
+// query matches trucks only and the unconstrained one lighter vehicles too.
 //
-//   ./bridge_truck_search [--n <len>] [--seed <s>]
+//   ./bridge_truck_search
 #include <cmath>
 #include <cstdio>
+#include <tuple>
 #include <vector>
 
-#include "bench_util/workload.h"
 #include "common/rng.h"
 #include "index/index_builder.h"
 #include "match/kv_match.h"
@@ -19,10 +20,9 @@
 
 using namespace kvmatch;
 
-int main(int argc, char** argv) {
-  const BenchFlags flags = BenchFlags::Parse(argc, argv);
-  const size_t n = flags.quick ? 300'000 : std::min<size_t>(flags.n, 2'000'000);
-  Rng rng(flags.seed);
+int main() {
+  const size_t n = 2'000'000;
+  Rng rng(42);
 
   // ---- Strain record: baseline with thermal drift + crossings of three
   // vehicle classes (pulse height ~ weight). ----
@@ -77,9 +77,10 @@ int main(int argc, char** argv) {
   QueryParams constrained{QueryType::kCnsmEd, 4.0, 1.4, 2.0, 0};
   QueryParams unconstrained{QueryType::kCnsmEd, 4.0, 1000.0, 1000.0, 0};
 
-  for (const auto& [label, params] :
-       {std::pair{"cNSM (truck weight class)", constrained},
-        std::pair{"NSM-like (no constraints) ", unconstrained}}) {
+  bool ok = true;
+  for (const auto& [label, params, trucks_only] :
+       {std::tuple{"cNSM (truck weight class)", constrained, true},
+        std::tuple{"NSM-like (no constraints) ", unconstrained, false}}) {
     MatchStats stats;
     auto results = matcher.Match(q, params, &stats);
     if (!results.ok()) {
@@ -104,8 +105,9 @@ int main(int argc, char** argv) {
     for (int k = 0; k < 3; ++k) {
       std::printf("    %s crossings matched: %zu\n", kNames[k], hits[k]);
     }
+    ok &= hits[2] > 0 && (hits[0] + hits[1] == 0) == trucks_only;
   }
   std::printf("\nThe α/β knobs turn 'same shape' into 'same shape AND same "
               "weight class'.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,7 +1,9 @@
 // Quickstart: build a KV-index over a series, run all four query types,
-// and print the matches. Mirrors the README's 60-second tour.
+// and print the matches. Mirrors the README's 60-second tour. Exits 1
+// unless the last query's answer equals brute force's.
 //
 //   ./quickstart [seed]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,6 +23,7 @@ const char* TypeName(QueryType t) {
     case QueryType::kRsmDtw: return "RSM-DTW ";
     case QueryType::kCnsmEd: return "cNSM-ED ";
     case QueryType::kCnsmDtw: return "cNSM-DTW";
+    case QueryType::kRsmL1: return "RSM-L1  ";
   }
   return "?";
 }
@@ -51,6 +54,7 @@ int main(int argc, char** argv) {
       {QueryType::kCnsmEd, 4.0, 1.5, 2.0, 0},
       {QueryType::kCnsmDtw, 3.0, 1.5, 2.0, 20},
   };
+  std::vector<MatchResult> last;
   for (const QueryParams& params : queries) {
     MatchStats stats;
     auto results = matcher.Match(q, params, &stats);
@@ -72,11 +76,18 @@ int main(int argc, char** argv) {
       std::printf("    offset=%-8zu dist=%.3f\n", m.offset, m.distance);
       if (++shown == 3) break;
     }
+    last = std::move(results).value();
   }
 
-  // 4. Sanity: agree with the brute-force reference on the last query.
+  // 4. Sanity: agree with the brute-force reference on the last query:
+  //    the same offsets, and distances within 1e-9.
   const auto truth = BruteForceMatch(x, q, queries[3]);
-  std::printf("\nbrute-force check: %zu matches (expect same as cNSM-DTW)\n",
-              truth.size());
-  return 0;
+  bool same = truth.size() == last.size();
+  for (size_t i = 0; same && i < truth.size(); ++i) {
+    same = truth[i].offset == last[i].offset &&
+           std::fabs(truth[i].distance - last[i].distance) <= 1e-9;
+  }
+  std::printf("\nbrute-force check: %zu matches, %s cNSM-DTW's\n",
+              truth.size(), same ? "the same as" : "DIFFERENT from");
+  return same ? 0 : 1;
 }

@@ -2,13 +2,16 @@
 // chunked into rows, and the whole KV-matchDP index stack — lives in ONE
 // key-value store (MiniKv, our HBase stand-in). The query side cold-starts
 // from the store, probes with the §VI-C row cache enabled, and answers
-// both threshold and top-k queries.
+// both threshold and top-k queries. Exits 1 unless the repeated query is
+// answered from the row cache alone, with the same matches, and the top-1
+// is the query's own source window.
 //
-//   ./store_deployment [--n <len>] [--seed <s>]
+//   ./store_deployment
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
-#include "bench_util/workload.h"
 #include "common/rng.h"
 #include "index/index_builder.h"
 #include "matchdp/kv_match_dp.h"
@@ -18,16 +21,17 @@
 
 using namespace kvmatch;
 
-int main(int argc, char** argv) {
-  const BenchFlags flags = BenchFlags::Parse(argc, argv);
-  const size_t n = std::min<size_t>(flags.n, 1'000'000);
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "kvmatch_deployment").string();
+int main() {
+  const size_t n = 1'000'000;
+  const uint64_t seed = 42;
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("kvmatch_deployment_" + std::to_string(::getpid())))
+                              .string();
   std::filesystem::remove_all(dir);
 
   // ---- Ingestion side ----
   {
-    Rng rng(flags.seed);
+    Rng rng(seed);
     const TimeSeries x = GenerateUcrLike(n, &rng);
     auto kv = MiniKv::Open(dir);
     if (!kv.ok()) {
@@ -81,11 +85,13 @@ int main(int argc, char** argv) {
   for (const auto& index : indexes) ptrs.push_back(&index);
   const KvMatchDp matcher(*data, prefix, ptrs);
 
-  Rng qrng(flags.seed + 9);
+  Rng qrng(seed + 9);
   const auto q = ExtractQuery(*data, n / 3, 400, 0.1, &qrng);
 
   // Threshold query, twice: second run shows cache reuse.
   QueryParams params{QueryType::kCnsmEd, 3.0, 1.5, 2.0, 0};
+  std::vector<MatchResult> first;
+  bool ok = true;
   for (int round = 0; round < 2; ++round) {
     MatchStats stats;
     auto results = matcher.Match(q, params, &stats);
@@ -100,6 +106,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.probe.rows_fetched),
                 static_cast<unsigned long long>(stats.probe.cache_hits),
                 stats.phase1_ms, stats.phase2_ms);
+    if (round == 0) {
+      first = *results;
+    } else {
+      ok &= stats.probe.rows_fetched == 0 && *results == first;
+    }
   }
 
   // Top-k on the same stack: one pass with a live ε.
@@ -109,7 +120,8 @@ int main(int argc, char** argv) {
   for (const auto& m : *top) {
     std::printf("  offset=%-10zu dist=%.4f\n", m.offset, m.distance);
   }
+  ok &= !top->empty() && (*top)[0].offset == n / 3;
 
   std::filesystem::remove_all(dir);
-  return 0;
+  return ok ? 0 : 1;
 }

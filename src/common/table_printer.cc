@@ -1,4 +1,4 @@
-#include "bench_util/table_printer.h"
+#include "common/table_printer.h"
 
 #include <cstdio>
 
@@ -52,12 +52,6 @@ std::string TablePrinter::FmtInt(uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%llu",
                 static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string TablePrinter::FmtSci(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1e", v);
   return buf;
 }
 

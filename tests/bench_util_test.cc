@@ -15,7 +15,6 @@
 
 #include "baseline/ucr_suite.h"
 #include "bench_util/calibration.h"
-#include "bench_util/table_printer.h"
 #include "bench_util/workload.h"
 #include "distance/simd/kernels.h"
 #include "match/top_k.h"
@@ -111,17 +110,58 @@ TEST(BenchFlagsTest, DefaultsWhenUnset) {
   EXPECT_FALSE(flags.quick);
 }
 
-TEST(WorkloadTest, KindsProduceDifferentSeries) {
-  const Workload ucr = Workload::Make(5000, 11, "ucr");
-  const Workload synth = Workload::Make(5000, 11, "synthetic");
-  EXPECT_EQ(ucr.series.size(), 5000u);
-  EXPECT_EQ(synth.series.size(), 5000u);
-  EXPECT_NE(ucr.series.values(), synth.series.values());
+TEST(BenchFlagsTest, HarnessFlagsParseAlongsideCommonOnes) {
+  const char* argv[] = {"bench_net_throughput", "--shards", "2", "--quick",
+                        "--idle-connections", "1000", "--json", "x.json"};
+  size_t shards = 0, idle = 0;
+  const BenchFlags flags = BenchFlags::Parse(
+      8, const_cast<char**>(argv),
+      {{"--shards", &shards}, {"--idle-connections", &idle}});
+  EXPECT_EQ(shards, 2u);
+  EXPECT_EQ(idle, 1000u);
+  EXPECT_TRUE(flags.quick);
+  EXPECT_EQ(flags.json_out, "x.json");
+}
+
+/// Parse(argv) with `extra` = {"--shards", ...}; it exits on bad input.
+void ParseOrExit(std::vector<const char*> argv) {
+  size_t shards = 0;
+  BenchFlags::Parse(static_cast<int>(argv.size()),
+                    const_cast<char**>(argv.data()), {{"--shards", &shards}});
+}
+
+TEST(BenchFlagsDeathTest, TyposAndMissingValuesExitWithUsage) {
+  const std::string usage = "usage: bench_demo \\[--n N\\]";
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--qiuck"}),
+              ::testing::ExitedWithCode(2), "unknown flag --qiuck\n" + usage);
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--quick", "7"}),
+              ::testing::ExitedWithCode(2), "unknown flag 7");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--idle-connections", "5"}),
+              ::testing::ExitedWithCode(2), "unknown flag");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--n"}),
+              ::testing::ExitedWithCode(2), "bad or missing value for --n");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--json", "--quick"}),
+              ::testing::ExitedWithCode(2), "missing value for --json");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--runs", "3x"}),
+              ::testing::ExitedWithCode(2), "missing value for --runs");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--runs", "0"}),
+              ::testing::ExitedWithCode(2), "missing value for --runs");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--runs", "-1"}),
+              ::testing::ExitedWithCode(2), "missing value for --runs");
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--shards", "two"}),
+              ::testing::ExitedWithCode(2),
+              "missing value for --shards\n" + usage + ".* \\[--shards N\\]");
+}
+
+TEST(BenchFlagsDeathTest, HelpExitsZero) {
+  EXPECT_EXIT(ParseOrExit({"bench_demo", "--n", "10", "--help"}),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(WorkloadTest, MakeQueryStaysInBounds) {
   const Workload w = Workload::Make(2000, 12);
   Rng rng(13);
+  EXPECT_EQ(w.series.size(), 2000u);
   for (int t = 0; t < 50; ++t) {
     const auto q = MakeQuery(w, 500, &rng);
     EXPECT_EQ(q.size(), 500u);
@@ -132,7 +172,6 @@ TEST(TablePrinterTest, FormattersAreStable) {
   EXPECT_EQ(TablePrinter::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Fmt(2.0), "2.0");
   EXPECT_EQ(TablePrinter::FmtInt(1234567), "1234567");
-  EXPECT_EQ(TablePrinter::FmtSci(0.00012), "1.2e-04");
 }
 
 TEST(TablePrinterTest, JsonHoldsEveryTableWithNumericCellsAsNumbers) {
@@ -147,7 +186,7 @@ TEST(TablePrinterTest, JsonHoldsEveryTableWithNumericCellsAsNumbers) {
   TablePrinter b({"Name \"q\""});
   b.AddRow({"back\\slash"});
   b.AddRow({});  // missing cells print, and emit, as empty strings
-  ASSERT_TRUE(TablePrinter::WriteJson(flags, {{"timing", &a}, {"", &b}}));
+  ASSERT_TRUE(WriteJson(flags, {{"timing", &a}, {"", &b}}));
   std::ifstream in(path);
   std::stringstream text;
   text << in.rdbuf();
@@ -171,9 +210,9 @@ TEST(TablePrinterTest, JsonHoldsEveryTableWithNumericCellsAsNumbers) {
 TEST(TablePrinterTest, JsonIsSkippedWithoutFlagAndFailsOnBadPath) {
   const char* argv[] = {"bench_demo", "--json", "/nonexistent-dir/x.json"};
   TablePrinter t({"a"});
-  EXPECT_TRUE(TablePrinter::WriteJson(
+  EXPECT_TRUE(WriteJson(
       BenchFlags::Parse(1, const_cast<char**>(argv)), {{"", &t}}));
-  EXPECT_FALSE(TablePrinter::WriteJson(
+  EXPECT_FALSE(WriteJson(
       BenchFlags::Parse(3, const_cast<char**>(argv)), {{"", &t}}));
 }
 

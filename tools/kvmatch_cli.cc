@@ -1,5 +1,7 @@
 // kvmatch_cli: end-to-end command-line front-end for the library — the
-// workflow a downstream user runs without writing C++.
+// workflow a downstream user runs without writing C++. Each command takes
+// only its own flags: an unknown flag, or one missing its value, prints the
+// usage and exits 2; --help prints it and exits 0.
 //
 //   kvmatch_cli generate --out data.bin --n 1000000 [--kind ucr|synthetic]
 //                        [--seed 42]
@@ -11,6 +13,7 @@
 //                        --qoffset 1000 --qlen 512 --epsilon 3.0
 //                        [--type rsm-ed|rsm-dtw|cnsm-ed|cnsm-dtw]
 //                        [--alpha 1.5] [--beta 2.0] [--rho 25] [--limit 10]
+//                        [--qnoise 0.0]
 //
 // Multi-series service front-end (Catalog + QueryService):
 //   kvmatch_cli catalog-ingest --store catalog.kvm --data data.bin
@@ -21,14 +24,12 @@
 //     report, the series directory, and the recovery events the open
 //     produced (roll-backs/forwards, orphan sweeps) as a JSON array.
 //   kvmatch_cli batch-query    --store catalog.kvm --queries queries.txt
-//                              [--threads N] [--queue 1024]
+//                              [--threads N] [--queue 1024] [--limit 3]
 //     queries.txt: one request per line of key=value tokens, e.g.
 //       series=sensor1 type=cnsm-ed qoffset=1000 qlen=256 epsilon=3.0
 //       series=sensor2 type=rsm-ed qoffset=0 qlen=128 k=10
 //     ('#' starts a comment; k>0 switches to top-k search; timeout-ms
 //     bounds the request's time in the queue.)
-//   kvmatch_cli serve-bench    [--series 8] [--n 1000000] [--threads 4]
-//                              [--batch 256] [--qlen 256] [--seed 42]
 //
 // Network front-end (src/net: wire protocol + TCP server):
 //   kvmatch_cli serve        --store catalog.kvm [--port 7777] [--bind ADDR]
@@ -66,7 +67,7 @@
 //     touched. A dead shard degrades pattern queries to typed partial
 //     results instead of hanging.
 //   kvmatch_cli remote-query --host 127.0.0.1 --port 7777 --queries q.txt
-//                            [--trace] [--trace-json trace.json]
+//                            [--trace] [--trace-json trace.json] [--limit 3]
 //     Same query-file syntax as batch-query; qoffset/qlen windows are
 //     resolved by the server (queries travel by reference, not by value).
 //     --trace asks the server for per-stage spans and prints a
@@ -110,20 +111,18 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util/table_printer.h"
 #include "common/event_log.h"
+#include "common/table_printer.h"
 #include "coord/coord_server.h"
 #include "coord/shard_map.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "bench_util/workload.h"
 #include "index/index_builder.h"
 #include "match/kv_match.h"
 #include "matchdp/kv_match_dp.h"
 #include "service/catalog.h"
 #include "service/query_service.h"
 #include "storage/file_kvstore.h"
-#include "storage/mem_kvstore.h"
 #include "ts/generator.h"
 #include "ts/io.h"
 
@@ -149,30 +148,9 @@ struct Args {
   bool Has(const std::string& key) const { return kv.count(key) > 0; }
 };
 
-Args ParseArgs(int argc, char** argv, int start) {
-  Args args;
-  for (int i = start; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      const std::string key = argv[i] + 2;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        args.kv[key] = argv[++i];
-      } else {
-        args.kv[key] = "1";
-      }
-    }
-  }
-  return args;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: kvmatch_cli <generate|build|info|query|"
-               "catalog-ingest|catalog-info|batch-query|serve-bench|"
-               "serve|coord|remote-query|remote-cancel|remote-bench|"
-               "remote-ingest|remote-drop|stats> [--flags]\n"
-               "see the header of tools/kvmatch_cli.cc for details\n");
-  return 2;
-}
+/// Prints the usage, to stdout for --help (code 0) and to stderr
+/// otherwise, and returns `code`.
+int Usage(int code = 2);
 
 bool ParseQueryType(const std::string& name, QueryType* type) {
   if (name == "rsm-ed") *type = QueryType::kRsmEd;
@@ -378,6 +356,16 @@ int CmdCatalogIngest(const Args& args) {
   return 0;
 }
 
+/// What crash recovery repaired while the catalog opened, if anything.
+void PrintRecovery(const Catalog::RecoveryReport& rec) {
+  if (rec.clean()) return;
+  std::printf("crash recovery: %llu epoch(s) rolled back, %llu rolled "
+              "forward, %llu orphaned namespace(s) swept\n",
+              static_cast<unsigned long long>(rec.epochs_rolled_back),
+              static_cast<unsigned long long>(rec.epochs_rolled_forward),
+              static_cast<unsigned long long>(rec.orphans_swept));
+}
+
 int CmdCatalogInfo(const Args& args) {
   const std::string store_path = args.Get("store");
   if (store_path.empty()) return Usage();
@@ -419,13 +407,7 @@ int CmdCatalogInfo(const Args& args) {
     std::printf("%s\n", out.c_str());
     return 0;
   }
-  if (const auto& rec = catalog.recovery_report(); !rec.clean()) {
-    std::printf("crash recovery: %llu epoch(s) rolled back, %llu rolled "
-                "forward, %llu orphaned namespace(s) swept\n",
-                static_cast<unsigned long long>(rec.epochs_rolled_back),
-                static_cast<unsigned long long>(rec.epochs_rolled_forward),
-                static_cast<unsigned long long>(rec.orphans_swept));
-  }
+  PrintRecovery(catalog.recovery_report());
   TablePrinter table({"Series", "Points", "Epoch", "Indexes",
                       "Memory (MB)"});
   for (const auto& name : catalog.ListSeries()) {
@@ -543,6 +525,23 @@ int ReadQueryFile(const std::string& path, Parse parse,
   return 0;
 }
 
+/// One answer of batch-query or remote-query: its error, or its match
+/// count, latency and first `limit` matches.
+void PrintResponse(size_t i, const std::string& series,
+                   const QueryResponse& response, size_t limit) {
+  if (!response.status.ok()) {
+    std::printf("[%zu] %s: %s\n", i, series.c_str(),
+                response.status.ToString().c_str());
+    return;
+  }
+  std::printf("[%zu] %s: %zu matches in %.2fms\n", i, series.c_str(),
+              response.matches.size(), response.latency_ms);
+  for (size_t j = 0; j < response.matches.size() && j < limit; ++j) {
+    std::printf("      offset=%-10zu dist=%.4f\n", response.matches[j].offset,
+                response.matches[j].distance);
+  }
+}
+
 void PrintServiceStats(const ServiceStatsSnapshot& snap) {
   const double uptime = snap.Value(Metric::kUptime);
   TablePrinter table({"Series", "Queries", "Errors", "QPS", "Min (ms)",
@@ -597,76 +596,9 @@ int CmdBatchQuery(const Args& args) {
   auto futures = service.SubmitBatch(requests);
   const size_t limit = args.GetU64("limit", 3);
   for (size_t i = 0; i < futures.size(); ++i) {
-    const QueryResponse response = futures[i].get();
-    if (!response.status.ok()) {
-      std::printf("[%zu] %s: %s\n", i, requests[i].series.c_str(),
-                  response.status.ToString().c_str());
-      continue;
-    }
-    std::printf("[%zu] %s: %zu matches in %.2fms\n", i,
-                requests[i].series.c_str(), response.matches.size(),
-                response.latency_ms);
-    for (size_t j = 0; j < response.matches.size() && j < limit; ++j) {
-      std::printf("      offset=%-10zu dist=%.4f\n",
-                  response.matches[j].offset, response.matches[j].distance);
-    }
+    PrintResponse(i, requests[i].series, futures[i].get(), limit);
   }
   std::printf("\n");
-  PrintServiceStats(service.Stats());
-  return 0;
-}
-
-int CmdServeBench(const Args& args) {
-  const size_t num_series = args.GetU64("series", 8);
-  const size_t total_points = args.GetU64("n", 1'000'000);
-  const size_t qlen = args.GetU64("qlen", 256);
-  const size_t batch = args.GetU64("batch", 256);
-  const uint64_t seed = args.GetU64("seed", 42);
-  const size_t per_series = std::max<size_t>(total_points / num_series,
-                                             4 * qlen);
-
-  MemKvStore store;
-  Catalog catalog(&store);
-  for (size_t i = 0; i < num_series; ++i) {
-    Rng rng(seed + i);
-    if (Status st = catalog.Ingest("bench" + std::to_string(i),
-                                   GenerateUcrLike(per_series, &rng));
-        !st.ok()) {
-      return Fail(st);
-    }
-  }
-  std::printf("catalog: %zu series x %zu points\n", num_series, per_series);
-
-  Rng rng(seed + 1000);
-  std::vector<QueryRequest> requests;
-  for (size_t i = 0; i < batch; ++i) {
-    const std::string name = "bench" + std::to_string(i % num_series);
-    auto session = catalog.Acquire(name);
-    if (!session.ok()) return Fail(session.status());
-    QueryRequest req;
-    req.series = name;
-    const size_t qoff = (1237 * i) % (per_series - qlen);
-    req.query = ExtractQuery((*session)->series(), qoff, qlen, 0.05, &rng);
-    req.params.type = i % 2 == 0 ? QueryType::kRsmEd : QueryType::kCnsmEd;
-    req.params.epsilon = 3.0;
-    req.params.alpha = 1.5;
-    req.params.beta = 3.0;
-    requests.push_back(std::move(req));
-  }
-
-  QueryService::Options sopts;
-  sopts.num_threads = args.GetU64("threads", 4);
-  sopts.max_queue = 2 * batch;
-  QueryService service(&catalog, sopts);
-
-  Stopwatch sw;
-  auto futures = service.SubmitBatch(requests);
-  for (auto& f : futures) f.wait();
-  const double seconds = sw.Seconds();
-
-  std::printf("%zu queries on %zu threads: %.2fs (%.1f QPS aggregate)\n\n",
-              batch, service.num_threads(), seconds,
-              static_cast<double>(batch) / seconds);
   PrintServiceStats(service.Stats());
   return 0;
 }
@@ -733,13 +665,7 @@ int CmdServe(const Args& args) {
   copts.event_log = &event_log;
   copts.slow_commit_ms = args.GetF("slow-commit-ms", 0.0);
   Catalog catalog(store->get(), copts);
-  if (const auto& rec = catalog.recovery_report(); !rec.clean()) {
-    std::printf("crash recovery: %llu epoch(s) rolled back, %llu rolled "
-                "forward, %llu orphaned namespace(s) swept\n",
-                static_cast<unsigned long long>(rec.epochs_rolled_back),
-                static_cast<unsigned long long>(rec.epochs_rolled_forward),
-                static_cast<unsigned long long>(rec.orphans_swept));
-  }
+  PrintRecovery(catalog.recovery_report());
 
   QueryService::Options sopts;
   sopts.num_threads = args.GetU64("threads", 4);
@@ -830,52 +756,54 @@ int CmdCoord(const Args& args) {
   return 0;
 }
 
-int CmdRemoteQuery(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
-  const std::string queries_path = args.Get("queries");
-  if (queries_path.empty()) return Usage();
+/// The server the remote commands talk to: --host and --port.
+Result<std::unique_ptr<net::Client>> Connect(const Args& args) {
+  return net::Client::Connect(args.Get("host", "127.0.0.1"),
+                              static_cast<int>(args.GetU64("port", 7777)));
+}
 
+/// The --queries file of remote-query or remote-cancel, sent on one
+/// connection.
+struct Pipelined {
   std::vector<net::WireQueryRequest> requests;
-  if (int rc = ReadQueryFile(queries_path, ParseWireRequestLine, &requests);
+  std::unique_ptr<net::Client> client;
+  std::vector<uint64_t> ids;  // one per request, in file order
+};
+
+/// Reads --queries and sends every request before waiting for any; the
+/// server streams responses in completion order and the client re-sorts
+/// them by request id. Returns 0, or the exit code after saying why not.
+int SendQueryFile(const Args& args, bool collect_trace, Pipelined* out) {
+  const std::string path = args.Get("queries");
+  if (path.empty()) return Usage();
+  if (int rc = ReadQueryFile(path, ParseWireRequestLine, &out->requests);
       rc != 0) {
     return rc;
   }
-  const bool want_trace = args.Has("trace") || args.Has("trace-json");
-  if (want_trace) {
-    for (auto& req : requests) req.request.collect_trace = true;
-  }
-
-  auto client = net::Client::Connect(host, port);
+  auto client = Connect(args);
   if (!client.ok()) return Fail(client.status());
-
-  // Pipeline every request, then collect; the server streams responses in
-  // completion order and the client re-sorts by request id.
-  std::vector<uint64_t> ids;
-  for (const auto& req : requests) {
-    auto id = (*client)->SendRequest(req);
+  out->client = std::move(*client);
+  for (auto& req : out->requests) {
+    req.request.collect_trace = collect_trace;
+    auto id = out->client->SendRequest(req);
     if (!id.ok()) return Fail(id.status());
-    ids.push_back(*id);
+    out->ids.push_back(*id);
   }
+  return 0;
+}
+
+int CmdRemoteQuery(const Args& args) {
+  const bool want_trace = args.Has("trace") || args.Has("trace-json");
+  Pipelined sent;
+  if (int rc = SendQueryFile(args, want_trace, &sent); rc != 0) return rc;
+  const auto& [requests, client, ids] = sent;
   const size_t limit = args.GetU64("limit", 3);
   std::string trace_events;  // combined chrome://tracing doc (--trace-json)
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto response = (*client)->WaitResponse(ids[i]);
+    auto response = client->WaitResponse(ids[i]);
     if (!response.ok()) return Fail(response.status());
-    if (!response->status.ok()) {
-      std::printf("[%zu] %s: %s\n", i, requests[i].request.series.c_str(),
-                  response->status.ToString().c_str());
-      continue;
-    }
-    std::printf("[%zu] %s: %zu matches in %.2fms\n", i,
-                requests[i].request.series.c_str(),
-                response->matches.size(), response->latency_ms);
-    for (size_t j = 0; j < response->matches.size() && j < limit; ++j) {
-      std::printf("      offset=%-10zu dist=%.4f\n",
-                  response->matches[j].offset,
-                  response->matches[j].distance);
-    }
-    if (want_trace && response->trace != nullptr) {
+    PrintResponse(i, requests[i].request.series, *response, limit);
+    if (want_trace && response->status.ok() && response->trace != nullptr) {
       const StageBreakdown b = ComputeStageBreakdown(*response->trace);
       const double total = response->latency_ms;
       std::printf("      trace: queue=%.2fms probe=%.2fms verify=%.2fms "
@@ -899,36 +827,18 @@ int CmdRemoteQuery(const Args& args) {
 }
 
 int CmdRemoteCancel(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
-  const std::string queries_path = args.Get("queries");
-  if (queries_path.empty()) return Usage();
-  const double after_ms = args.GetF("after-ms", 100.0);
-
-  std::vector<net::WireQueryRequest> requests;
-  if (int rc = ReadQueryFile(queries_path, ParseWireRequestLine, &requests);
-      rc != 0) {
-    return rc;
-  }
-
-  auto client = net::Client::Connect(host, port);
-  if (!client.ok()) return Fail(client.status());
-
-  std::vector<uint64_t> ids;
-  for (const auto& req : requests) {
-    auto id = (*client)->SendRequest(req);
-    if (!id.ok()) return Fail(id.status());
-    ids.push_back(*id);
-  }
+  Pipelined sent;
+  if (int rc = SendQueryFile(args, false, &sent); rc != 0) return rc;
+  const auto& [requests, client, ids] = sent;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-      after_ms));
+      args.GetF("after-ms", 100.0)));
   for (uint64_t id : ids) {
-    if (Status st = (*client)->Cancel(id); !st.ok()) return Fail(st);
+    if (Status st = client->Cancel(id); !st.ok()) return Fail(st);
   }
 
   size_t cancelled = 0, finished = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    auto response = (*client)->WaitResponse(ids[i]);
+    auto response = client->WaitResponse(ids[i]);
     if (!response.ok()) return Fail(response.status());
     if (response->status.IsCancelled()) {
       ++cancelled;
@@ -954,14 +864,12 @@ int CmdRemoteCancel(const Args& args) {
 }
 
 int CmdRemoteBench(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
   const size_t clients = std::max<uint64_t>(args.GetU64("clients", 4), 1);
   const size_t batch = std::max<uint64_t>(args.GetU64("batch", 64), 1);
   const size_t qlen = args.GetU64("qlen", 256);
   const uint64_t seed = args.GetU64("seed", 42);
 
-  auto probe = net::Client::Connect(host, port);
+  auto probe = Connect(args);
   if (!probe.ok()) return Fail(probe.status());
   auto series = (*probe)->ListSeries();
   if (!series.ok()) return Fail(series.status());
@@ -978,10 +886,10 @@ int CmdRemoteBench(const Args& args) {
   std::vector<std::thread> threads;
   std::vector<size_t> completed(clients, 0);
   std::vector<Status> failures(clients);
-  Stopwatch sw;
+  const auto start = std::chrono::steady_clock::now();
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      auto client = net::Client::Connect(host, port);
+      auto client = Connect(args);
       if (!client.ok()) {
         failures[c] = client.status();
         return;
@@ -1018,7 +926,9 @@ int CmdRemoteBench(const Args& args) {
     });
   }
   for (auto& t : threads) t.join();
-  const double seconds = sw.Seconds();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 
   size_t total = 0;
   for (size_t c = 0; c < clients; ++c) {
@@ -1033,8 +943,6 @@ int CmdRemoteBench(const Args& args) {
 }
 
 int CmdRemoteIngest(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
   const std::string name = args.Get("name");
   const std::string data_path = args.Get("data");
   if (name.empty() || data_path.empty()) return Usage();
@@ -1042,7 +950,7 @@ int CmdRemoteIngest(const Args& args) {
 
   auto data = ReadBinary(data_path);
   if (!data.ok()) return Fail(data.status());
-  auto client = net::Client::Connect(host, port);
+  auto client = Connect(args);
   if (!client.ok()) return Fail(client.status());
 
   if (args.Has("replace")) {
@@ -1082,11 +990,9 @@ int CmdRemoteIngest(const Args& args) {
 }
 
 int CmdRemoteDrop(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
   const std::string name = args.Get("name");
   if (name.empty()) return Usage();
-  auto client = net::Client::Connect(host, port);
+  auto client = Connect(args);
   if (!client.ok()) return Fail(client.status());
   if (Status st = (*client)->DropSeries(name); !st.ok()) return Fail(st);
   std::printf("dropped '%s'\n", name.c_str());
@@ -1117,9 +1023,7 @@ std::map<std::string, double> ParseAccumulating(const std::string& text) {
 }
 
 int CmdStats(const Args& args) {
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int port = static_cast<int>(args.GetU64("port", 7777));
-  auto client = net::Client::Connect(host, port);
+  auto client = Connect(args);
   if (!client.ok()) return Fail(client.status());
   auto text = (*client)->StatsText();
   if (!text.ok()) return Fail(text.status());
@@ -1147,27 +1051,89 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* flags;     // the flags that take a value, as usage shows them
+  const char* switches;  // the flags that take none, each in brackets
+};
+
+const Command kCommands[] = {
+    {"generate", CmdGenerate, "--out --n --kind --seed", ""},
+    {"build", CmdBuild, "--data --index --wu --levels --width --threads", ""},
+    {"info", CmdInfo, "--index", ""},
+    {"query", CmdQuery,
+     "--data --index --qoffset --qlen --qnoise --type --epsilon --alpha "
+     "--beta --rho --limit",
+     ""},
+    {"catalog-ingest", CmdCatalogIngest,
+     "--store --data --name --wu --levels --width", ""},
+    {"catalog-info", CmdCatalogInfo, "--store", "[--json]"},
+    {"batch-query", CmdBatchQuery,
+     "--store --queries --threads --queue --limit", ""},
+    {"serve", CmdServe,
+     "--store --threads --queue --slow-query-ms --event-log --slow-commit-ms "
+     "--shard-map --shard-id --bind --port --max-conns --idle-ms "
+     "--stream-chunk --drain-ms --max-outbox-mb",
+     "[--dump-events]"},
+    {"coord", CmdCoord,
+     "--shard-map --threads --queue --shard-timeout-ms --bind --port "
+     "--max-conns --idle-ms --stream-chunk --drain-ms --max-outbox-mb",
+     ""},
+    {"remote-query", CmdRemoteQuery,
+     "--host --port --queries --limit --trace-json", "[--trace]"},
+    {"remote-cancel", CmdRemoteCancel, "--host --port --queries --after-ms",
+     ""},
+    {"remote-bench", CmdRemoteBench,
+     "--host --port --clients --batch --qlen --seed", ""},
+    {"remote-ingest", CmdRemoteIngest, "--host --port --name --data --chunk",
+     "[--replace] [--append]"},
+    {"remote-drop", CmdRemoteDrop, "--host --port --name", ""},
+    {"stats", CmdStats, "--host --port --watch", ""},
+};
+
+/// True when `word` is one of the space-separated words of `list`.
+bool Lists(const std::string& list, const std::string& word) {
+  return (" " + list + " ").find(" " + word + " ") != std::string::npos;
+}
+
+int Usage(int code) {
+  std::FILE* out = code == 0 ? stdout : stderr;
+  std::fprintf(out, "usage: kvmatch_cli <command> [--flag value]... "
+                    "[--switch]...\n");
+  for (const Command& cmd : kCommands) {
+    std::fprintf(out, "  %-15s %s%s%s\n", cmd.name, cmd.flags,
+                 *cmd.switches ? " " : "", cmd.switches);
+  }
+  std::fprintf(out, "see the header of tools/kvmatch_cli.cc for details\n");
+  return code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  const Args args = ParseArgs(argc, argv, 2);
-  if (cmd == "generate") return CmdGenerate(args);
-  if (cmd == "build") return CmdBuild(args);
-  if (cmd == "info") return CmdInfo(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "catalog-ingest") return CmdCatalogIngest(args);
-  if (cmd == "catalog-info") return CmdCatalogInfo(args);
-  if (cmd == "batch-query") return CmdBatchQuery(args);
-  if (cmd == "serve-bench") return CmdServeBench(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "coord") return CmdCoord(args);
-  if (cmd == "remote-query") return CmdRemoteQuery(args);
-  if (cmd == "remote-cancel") return CmdRemoteCancel(args);
-  if (cmd == "remote-bench") return CmdRemoteBench(args);
-  if (cmd == "remote-ingest") return CmdRemoteIngest(args);
-  if (cmd == "remote-drop") return CmdRemoteDrop(args);
-  if (cmd == "stats") return CmdStats(args);
-  return Usage();
+  const std::string name = argv[1];
+  if (name == "--help") return Usage(0);
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands) {
+    if (name == c.name) cmd = &c;
+  }
+  if (cmd == nullptr) return Usage();
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help") return Usage(0);
+    if (Lists(cmd->switches, "[" + arg + "]")) {
+      args.kv[arg.substr(2)] = "1";
+    } else if (Lists(cmd->flags, arg) && i + 1 < argc &&
+               std::strncmp(argv[i + 1], "--", 2) != 0) {
+      args.kv[arg.substr(2)] = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s: unknown flag, or one missing its value: %s\n",
+                   cmd->name, argv[i]);
+      return Usage();
+    }
+  }
+  return cmd->run(args);
 }

@@ -10,8 +10,8 @@
 # suite (fault_kvstore_test), the scalar-vs-SIMD parity suite
 # (simd_parity_test), the full-range verify of the baselines and the
 # verifier (baseline_test, verifier_test) and the banded DTW DP
-# (distance_test, match_property_test), and every bench harness
-# (ctest -L bench). Mirrors what CI runs; use it
+# (distance_test, match_property_test), every bench harness and every
+# example (ctest -L 'bench|example'). Mirrors what CI runs; use it
 # locally before sending a PR.
 #
 #   tools/run_checks.sh [jobs]
@@ -55,7 +55,7 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/stats_test
 
 echo
-echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor/top-k/stats + crash replay + verify + DTW + benches ==="
+echo "=== ASan+UBSan: storage/service/net/coord/ingest/executor/top-k/stats + crash replay + verify + DTW + benches + examples ==="
 cmake -B build-asan -S . -DKVMATCH_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS" \
   --target storage_test service_test net_test coord_test stream_slow_test \
@@ -67,7 +67,9 @@ cmake --build build-asan -j "$JOBS" \
            bench_fig9_scalability bench_ingest_while_query \
            bench_micro_kernels bench_net_throughput bench_service_throughput \
            bench_table3_rsm_ed bench_table4_rsm_dtw bench_table5_cnsm_ed \
-           bench_table6_cnsm_dtw bench_table7_frm_ratio bench_table8_window_size
+           bench_table6_cnsm_dtw bench_table7_frm_ratio bench_table8_window_size \
+           example_activity_explorer example_bridge_truck_search \
+           example_eog_gust_search example_quickstart example_store_deployment
 ./build-asan/storage_test
 ./build-asan/event_log_test
 ./build-asan/service_test
@@ -91,9 +93,9 @@ KVMATCH_FORCE_SCALAR=1 ./build-asan/simd_parity_test
 ./build-asan/match_property_test
 ./build-asan/session_test
 ./build-asan/stats_test
-# Every bench harness in --quick mode, answers checked against UCR Suite;
-# run them where memory errors show.
-ctest --test-dir build-asan -L bench --output-on-failure
+# Every bench harness in --quick mode, answers checked against UCR Suite,
+# and every example; run them where memory errors show.
+ctest --test-dir build-asan -L 'bench|example' --output-on-failure
 
 echo
 echo "=== C10k smoke: 1000 idle connections parked on one reactor loop ==="
